@@ -26,8 +26,9 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .incidence import IncidenceHistogram, MomentSet, moments
 
@@ -66,17 +67,21 @@ def render_fraction(x: Union[Fraction, int], digits: int = 12) -> str:
     return str(d)
 
 
+# The random-model counts and regime cuts depend on (p, n) alone; reports
+# for the same (p, n) share one copy of each.
+@lru_cache(maxsize=256)
 def expected_t(p: int, n: int) -> Fraction:
     """Random-model triple count n**6/p + 2 n**4 (exact rational)."""
     return Fraction(n ** 6, p) + 2 * n ** 4
 
 
+@lru_cache(maxsize=256)
 def expected_q(p: int, n: int) -> Fraction:
     """Random-model quadruple count n**8/p**2 + 2 n**5."""
     return Fraction(n ** 8, p * p) + 2 * n ** 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityCheck:
     name: str
     observed: int
@@ -95,7 +100,7 @@ def second_moment_check(h: IncidenceHistogram, ms: MomentSet) -> IdentityCheck:
     return IdentityCheck("s2", ms.s2, h.n ** 4 + h.p * h.n ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropositionCheck:
     """|s3 - expected_t| <= p * n**3, with constant exactly 1."""
 
@@ -128,7 +133,7 @@ def _dyadic_levels(n: int) -> range:
     return range(0, (n - 1).bit_length())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassBoundCheck:
     """Dyadic class sizes obey lm_count <= 4 p n**2 / M**2 for M >= 2 n**2 / p."""
 
@@ -158,7 +163,7 @@ def class_bound_check(h: IncidenceHistogram) -> ClassBoundCheck:
     return ClassBoundCheck(max_ratio, checked)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegimeReport:
     """Moment mass split at cut1 = 2 n**2 / p and cut2 = 2 n**(3/2) / p**(1/2).
 
@@ -194,26 +199,55 @@ def regime_decomposition(h: IncidenceHistogram, r: int) -> RegimeReport:
             mid += term
         else:
             high += term
+    return RegimeReport(r, *_regime_cuts(p, n), low, mid, high)
+
+
+@lru_cache(maxsize=256)
+def _regime_cuts(p: int, n: int) -> Tuple[Fraction, Fraction]:
     cut1 = Fraction(2 * n * n, p)
     cut2 = 2 * root_fraction(n ** 3 * p) / p  # 2 sqrt(n**3/p) = 2 sqrt(n**3 p)/p
-    return RegimeReport(r, cut1, cut2, low, mid, high)
+    return cut1, cut2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyadicRow:
-    """Per-level diagnostics for the dyadic class (M, 2M], M = 2**j."""
+    """Per-level diagnostics for the dyadic class (M, 2M], M = 2**j.
+
+    Only the counts are stored; the exact ratios are derived on access,
+    which keeps a report small when many are held at once.
+    """
 
     level: int
     m: int
     lm_count: int
     incidences: int  # sum of k * counts[k] over the class
-    class_bound_limit: Fraction  # 4 p n**2 / M**2, ceiling for lm_count
-    lm_bound_ratio: Optional[Fraction]  # lm_count * M**4 / n**5
-    three_quarter_applicable: bool  # n * lm_count <= p**2
-    three_quarter_ratio: Optional[Fraction]  # incidences / (lm_count**3 n**5)**(1/4)
+    p: int
+    n: int
+
+    @property
+    def class_bound_limit(self) -> Fraction:
+        """4 p n**2 / M**2, ceiling for lm_count."""
+        return Fraction(4 * self.p * self.n * self.n, self.m * self.m)
+
+    @property
+    def lm_bound_ratio(self) -> Fraction:
+        """lm_count * M**4 / n**5."""
+        return Fraction(self.lm_count * self.m ** 4, self.n ** 5)
+
+    @property
+    def three_quarter_applicable(self) -> bool:
+        """n * lm_count <= p**2."""
+        return self.n * self.lm_count <= self.p * self.p
+
+    @property
+    def three_quarter_ratio(self) -> Optional[Fraction]:
+        """incidences / (lm_count**3 n**5)**(1/4), where applicable."""
+        if not self.three_quarter_applicable or self.lm_count == 0:
+            return None
+        return self.incidences / root_fraction(self.lm_count ** 3 * self.n ** 5, 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatioDiagnostics:
     """Diagnostic ratios against the asymptotic bounds (no pass/fail)."""
 
@@ -236,22 +270,7 @@ def ratio_diagnostics(h: IncidenceHistogram, ms: Optional[MomentSet] = None) -> 
         m = 1 << j
         lm = lm_count(h, m)
         incid = sum(k * c for k, c in h.counts.items() if m < k <= 2 * m)
-        three_quarter_ok = n * lm <= p * p
-        three_quarter_ratio = None
-        if three_quarter_ok and lm > 0:
-            three_quarter_ratio = incid / root_fraction(lm ** 3 * n ** 5, 4)
-        rows.append(
-            DyadicRow(
-                level=j,
-                m=m,
-                lm_count=lm,
-                incidences=incid,
-                class_bound_limit=Fraction(4 * p * n * n, m * m),
-                lm_bound_ratio=Fraction(lm * m ** 4, n ** 5),
-                three_quarter_applicable=three_quarter_ok,
-                three_quarter_ratio=three_quarter_ratio,
-            )
-        )
+        rows.append(DyadicRow(level=j, m=m, lm_count=lm, incidences=incid, p=p, n=n))
     return RatioDiagnostics(
         t_ratio=ms.s3 / t_den,
         q_ratio=ms.s4 / q_den,
@@ -260,7 +279,7 @@ def ratio_diagnostics(h: IncidenceHistogram, ms: Optional[MomentSet] = None) -> 
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     """Full structured record of one verification run.
 

@@ -17,13 +17,21 @@ The power sums of the histogram are the central statistics:
 
 Three build strategies produce bit-identical histograms:
 
-    naive         iterate incidence_count over every line, Theta(p**2 n)
-    slope_direct  per-slope residue tally of y - m*x, Theta(p n**2)
-    slope_fast    per-slope exact cyclic convolution, Theta(p**2 log p)
+    naive         iterate over every line and every x, Theta(p**2 n)
+    slope_direct  per-slope residue tally of y - m*x, ~p n**2 / 2
+    slope_fast    per-slope exact cyclic convolution, ~(p/2) L log2 L,
+                  with L = ntt.conv_length(p) the transform length
 
-slope_direct and slope_fast group work per slope and add the vertical
-family at the end; per-slope results merge by plain addition of sparse
-counts, so slopes may be processed in any order or concurrently.
+slope_direct and slope_fast group work per slope and use the
+inverse-slope symmetry: swapping coordinates maps A x A onto itself and
+the line y = m*x + b (m != 0) onto y = x/m - b/m, so slopes m and 1/m
+have the same multiset of incidence counts.  Each tallies one slope of
+every class {m, 1/m}, counted twice (once for the self-inverse slopes 1
+and p - 1), and adds slope 0 and the vertical family in closed form:
+each has n lines through a full row or column of the grid.  Per-slope
+results merge by plain addition of sparse counts, so slopes may be
+processed in any order or concurrently.  naive uses no symmetry and
+stays the independent reference.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import json
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +62,7 @@ ENGINE_MAX_P = 1 << 24
 
 # Target element count per vectorized chunk of slopes; sized so chunk
 # buffers stay cache-resident (larger chunks go memory-bandwidth bound).
-_CHUNK_TARGET = 1 << 17
+_CHUNK_TARGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -173,7 +181,7 @@ def merge_counts(*parts: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MomentSet:
     """Exact power sums of the incidence function (Python ints, no overflow)."""
 
@@ -205,9 +213,28 @@ def moments(h: IncidenceHistogram) -> MomentSet:
     return MomentSet(s1, s2, s3, s4)
 
 
+# Crossover constant of default_strategy: slope_direct while
+# n**2 <= _CROSSOVER_K * L * log2(L).  Fitted to best-of-3 wall times of
+# the paired strategies on uniform sets (one thread, 2-core x86-64 host,
+# numpy 2.4):
+#   p = 1009 (L = 2048)  fast 0.52 s  direct 0.30 / 0.46 / 0.63 s at n = 450 / 550 / 650
+#   p = 2003 (L = 4096)  fast 1.89 s  direct 1.04 / 1.51 / 1.73 s at n = 600 / 700 / 800
+#   p = 4001 (L = 8192)  fast 6.82 s  direct 3.87 / 5.80 / 8.63 s at n = 800 / 1000 / 1200
+# Direct time grows as n**2, so the two meet at n**2 = 15.6, 13.3 and
+# 10.8 times L log2 L; K is their geometric mean, rounded.
+_CROSSOVER_K = 13
+
+
 def default_strategy(p: int, n: int) -> str:
-    """slope_direct while n**2 <= p*log2(p), else slope_fast."""
-    if n * n <= p * max(p.bit_length() - 1, 1):
+    """The cheaper slope strategy for a set of n elements mod p.
+
+    slope_direct costs about p * n**2 / 2 tallied keys and slope_fast
+    about p / 2 transforms of length L = ntt.conv_length(p), so direct
+    wins while n**2 <= K * L * log2(L), K = _CROSSOVER_K fitted to
+    measured timings; beyond that slope_fast.
+    """
+    length = ntt.conv_length(p)
+    if n * n <= _CROSSOVER_K * length * (length.bit_length() - 1):
         return "slope_direct"
     return "slope_fast"
 
@@ -225,12 +252,7 @@ def incidence_histogram(A: FieldSubset, strategy: Optional[str] = None) -> Incid
     if n == 0:
         return IncidenceHistogram(p, 0, {})
     if strategy == "naive":
-        tally: Dict[int, int] = {}
-        for line in all_lines(p):
-            k = incidence_count(A, line)
-            if k:
-                tally[k] = tally.get(k, 0) + 1
-        return IncidenceHistogram(p, n, tally)
+        return IncidenceHistogram(p, n, _tally_naive(A))
 
     # counts-of-counts accumulator over k = 0..n; index 0 is discarded.
     acc = np.zeros(n + 1, dtype=np.int64)
@@ -239,47 +261,105 @@ def incidence_histogram(A: FieldSubset, strategy: Optional[str] = None) -> Incid
     else:
         _tally_slopes_fast(A, acc)
     counts = {int(k): int(acc[k]) for k in range(1, n + 1) if acc[k]}
-    # Vertical family: n lines meet a full column, p - n miss the grid.
-    counts[n] = counts.get(n, 0) + n
+    # Slope 0 and the vertical family: n lines each meet a full row or
+    # column, the other p - n miss the grid.
+    counts[n] = counts.get(n, 0) + 2 * n
     return IncidenceHistogram(p, n, counts)
+
+
+def _tally_naive(A: FieldSubset) -> Dict[int, int]:
+    """Count every line point by point: (x, m*x + b) for each x in A."""
+    p, n = A.p, A.n
+    xs = A.elements
+    members = frozenset(xs)
+    tally: Dict[int, int] = {}
+    for m in range(p):
+        for b in range(p):
+            k = 0
+            for x in xs:
+                if (m * x + b) % p in members:
+                    k += 1
+            if k:
+                tally[k] = tally.get(k, 0) + 1
+    for c in range(p):
+        if c in members:
+            tally[n] = tally.get(n, 0) + 1
+    return tally
+
+
+@lru_cache(maxsize=8)
+def _slope_classes(p: int) -> Tuple[Tuple[np.ndarray, int], ...]:
+    """One slope of every class {m, 1/m}, m = 1..p-1, with its weight.
+
+    Returns (paired, 2) and (self_inverse, 1): paired holds the smaller
+    slope of every class with m != 1/m, self_inverse the slopes 1 and
+    p - 1.  Inverses are m**(p-2) by vectorized square-and-multiply;
+    products stay below p**2 <= 2**48.
+    """
+    slopes = np.arange(1, p, dtype=np.intp)
+    inverse = np.ones_like(slopes)
+    base = slopes.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            inverse = inverse * base % p
+        base = base * base % p
+        e >>= 1
+    paired = slopes[slopes < inverse]
+    self_inverse = np.array([1, p - 1], dtype=np.intp)
+    for arr in (paired, self_inverse):
+        arr.setflags(write=False)
+    return (paired, 2), (self_inverse, 1)
 
 
 def _tally_slopes_direct(A: FieldSubset, acc: np.ndarray) -> None:
     """Tally per-slope intercept profiles by direct residue counting.
 
-    Slopes are processed in vectorized chunks keyed by (slope offset,
-    residue).  When the field is much larger than the grid (p > 2 n**2)
-    almost all intercepts are empty, so instead of a dense per-slope
-    bincount the keys are sorted and run lengths counted, keeping the
-    cost proportional to p * n**2 rather than p**2.
+    Slopes are processed in vectorized chunks, each filling one
+    preallocated intp key buffer in place, so bincount reads it without
+    a cast copy.  A dense profile keys (slope offset, p + y - m*x) over
+    2p bins per slope and folds the two halves, which spares a modular
+    reduction of every key.  When the field is much larger than the
+    grid (p > 2 n**2) almost all intercepts are empty, so instead the
+    reduced keys are sorted and run lengths counted, keeping the cost
+    proportional to p * n**2 rather than p**2.
     """
     p, n = A.p, A.n
+    classes = _slope_classes(p)
     sparse = p > 2 * n * n
-    chunk = max(1, min(p, _CHUNK_TARGET // max(n * n, p if not sparse else 1)))
-    # int32 pipeline once slope*element products and chunk keys both fit;
-    # halves memory traffic on the hot path.
-    narrow = p <= 46000 and chunk * p < 2 ** 31
-    dtype = np.int32 if narrow else np.int64
-    elems = np.asarray(A.elements, dtype=dtype)
-    for start in range(0, p, chunk):
-        ms = np.arange(start, min(start + chunk, p), dtype=dtype)
-        c = len(ms)
-        mx = ms[:, None] * elems[None, :] % dtype(p)          # (c, n)
-        slots = (elems[None, None, :] - mx[:, :, None]) % dtype(p)  # (c, n, n)
-        keys = slots + (np.arange(c, dtype=dtype) * dtype(p))[:, None, None]
-        if sparse:
-            # Rows cover disjoint key ranges, so per-row sorting makes
-            # the flattened array globally sorted.
-            flat = np.sort(keys.reshape(c, -1), axis=1).ravel()
-            step = np.flatnonzero(flat[1:] != flat[:-1])
-            edges = np.concatenate(([-1], step, [flat.size - 1]))
-            lengths = np.diff(edges)
-            acc_part = np.bincount(lengths, minlength=len(acc))
-        else:
-            profiles = np.bincount(keys.ravel(), minlength=c * p)
-            acc_part = np.bincount(profiles, minlength=len(acc))
-        acc += acc_part[: len(acc)]
-        # run lengths / profiles never exceed n, so nothing is truncated.
+    span = p if sparse else 2 * p
+    most = max(len(slopes) for slopes, _ in classes)
+    chunk = max(1, min(most, _CHUNK_TARGET // max(n * n, 1 if sparse else span)))
+    elems = np.asarray(A.elements, dtype=np.intp)
+    keys = np.empty((chunk, n, n), dtype=np.intp)
+    offsets = np.arange(chunk, dtype=np.intp) * span
+    if not sparse:
+        offsets += p
+    for slopes, weight in classes:
+        for start in range(0, len(slopes), chunk):
+            ms = slopes[start:start + chunk]
+            c = len(ms)
+            mx = ms[:, None] * elems[None, :] % p                 # (c, n)
+            k = keys[:c]                                          # (c, n, n)
+            if sparse:
+                np.subtract(elems[None, None, :], mx[:, :, None], out=k)
+                np.remainder(k, p, out=k)
+                np.add(k, offsets[:c, None, None], out=k)
+                # Rows cover disjoint key ranges, so per-row sorting
+                # makes the flattened buffer globally sorted.
+                k.reshape(c, -1).sort(axis=1)
+                flat = k.ravel()
+                step = np.flatnonzero(flat[1:] != flat[:-1])
+                edges = np.concatenate(([-1], step, [flat.size - 1]))
+                part = np.bincount(np.diff(edges), minlength=len(acc))
+            else:
+                shift = offsets[:c, None] - mx
+                np.add(elems[None, None, :], shift[:, :, None], out=k)
+                halves = np.bincount(k.ravel(), minlength=c * span).reshape(c, 2, p)
+                profiles = halves[:, 0] + halves[:, 1]
+                part = np.bincount(profiles.ravel(), minlength=len(acc))
+            # run lengths / profiles never exceed n, so nothing is truncated.
+            acc += weight * part[: len(acc)]
 
 
 def _tally_slopes_fast(A: FieldSubset, acc: np.ndarray) -> None:
@@ -293,7 +373,8 @@ def _tally_slopes_fast(A: FieldSubset, acc: np.ndarray) -> None:
     f = np.zeros(p, dtype=np.int64)
     f[elems] = 1
     fw = ntt.forward_padded(f, p)
-    for m in range(p):
-        g = np.bincount((-(m * elems)) % p, minlength=p).astype(np.int64)
-        profile = ntt.convolve_with_transform(fw, g, p)
-        acc += np.bincount(profile, minlength=len(acc))[: len(acc)]
+    for slopes, weight in _slope_classes(p):
+        for m in slopes:
+            g = np.bincount((-(int(m) * elems)) % p, minlength=p).astype(np.int64)
+            profile = ntt.convolve_with_transform(fw, g, p)
+            acc += weight * np.bincount(profile, minlength=len(acc))[: len(acc)]

@@ -17,7 +17,7 @@ the hard size caps; raise them only knowingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -138,7 +138,9 @@ class AlgebraicTripleCount:
         return abs(self.delta) / float(n ** 4) if n else 0.0
 
 
-def algebraic_triple_count(A: FieldSubset, cap: int = ALGEBRAIC_CAP) -> AlgebraicTripleCount:
+def algebraic_triple_count(
+    A: FieldSubset, cap: int = ALGEBRAIC_CAP, s3: Optional[int] = None
+) -> AlgebraicTripleCount:
     """Count 6-tuples (a1..a6) in A**6 solving the slanted-triple equation
 
         (a1 - a2) / (a3 - a4) = (a1 - a5) / (a3 - a6) != 0,
@@ -151,6 +153,8 @@ def algebraic_triple_count(A: FieldSubset, cap: int = ALGEBRAIC_CAP) -> Algebrai
     Also reports delta = s3 - 2*n**4 - count, the discrepancy against
     the engine's triple count after removing the two axis-parallel line
     families; the dominant degenerate term in delta is (p+1)*n**2.
+    s3 is that triple count when the caller has already built the
+    histogram of A; by default it is computed here.
     """
     n, p = A.n, A.p
     if n > cap:
@@ -175,5 +179,5 @@ def algebraic_triple_count(A: FieldSubset, cap: int = ALGEBRAIC_CAP) -> Algebrai
                     r = num * d_inv % p
                     ratios[r] = ratios.get(r, 0) + 1
             count += sum(c * c for c in ratios.values())
-    t = moments(incidence_histogram(A)).s3
+    t = moments(incidence_histogram(A)).s3 if s3 is None else s3
     return AlgebraicTripleCount(count, t, t - 2 * n ** 4 - count)

@@ -63,6 +63,12 @@ class TestRunVerify:
         rep = run_verify(cfg(inject_fault=True))
         assert not rep.overall_pass
 
+    def test_algebraic_delta_uses_the_uncorrupted_build(self):
+        clean = run_verify(cfg())
+        faulty = run_verify(cfg(inject_fault=True))
+        assert faulty.moment_set.s3 != clean.moment_set.s3
+        assert faulty.algebraic_delta == clean.algebraic_delta
+
     def test_naive_skipped_above_budget(self):
         rep = run_verify(cfg(primes=(2003,), set_descriptor="paper-interval"))
         assert rep.strategy_equivalence is True  # slope strategies still compared

@@ -86,6 +86,15 @@ class TestSlopeProfile:
         with pytest.raises(InvalidParameter):
             slope_profile(UNIT_SQUARE, 0, "float_fft")
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(SMALL_PRIMES), st.integers(0, 2**32 - 1))
+    def test_inverse_slopes_share_incidence_counts(self, p, seed):
+        # Swapping coordinates maps y = m*x + b onto y = x/m - b/m.
+        A = random_subset(p, seed)
+        for m in range(1, p):
+            inv = pow(m, -1, p)
+            assert sorted(slope_profile(A, m)) == sorted(slope_profile(A, inv))
+
 
 class TestHistogram:
     def test_hand_case_all_strategies(self):
@@ -118,6 +127,17 @@ class TestHistogram:
         direct = incidence_histogram(A, "slope_direct")
         fast = incidence_histogram(A, "slope_fast")
         assert naive.counts == direct.counts == fast.counts
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_paired_strategies_match_naive_on_edge_sets(self, p):
+        # Random sets are covered by test_strategy_equivalence.
+        m = validate_prime(p)
+        sets = [[], [0], [p - 1], [0, 1], [1, p - 1], list(range(1, p)), list(range(p))]
+        for elements in sets:
+            A = from_list(m, elements)
+            naive = incidence_histogram(A, "naive").counts
+            assert incidence_histogram(A, "slope_direct").counts == naive, elements
+            assert incidence_histogram(A, "slope_fast").counts == naive, elements
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(SMALL_PRIMES), st.integers(0, 2**32 - 1))
@@ -209,8 +229,12 @@ class TestSerializationAndMerge:
 
 class TestDefaultStrategy:
     def test_rule(self):
-        assert default_strategy(1009, 20) == "slope_direct"  # 400 <= 1009*9
-        assert default_strategy(1009, 303) == "slope_fast"
+        # Measured equal-cost points: n near 590 at p = 1009 and 810 at
+        # p = 2003 (incidence._CROSSOVER_K); pinned on both sides.
+        assert default_strategy(2003, 159) == "slope_direct"
+        assert default_strategy(1009, 300) == "slope_direct"
+        assert default_strategy(1009, 605) == "slope_fast"
+        assert default_strategy(2003, 1002) == "slope_fast"
 
     def test_choice_is_logged(self, caplog):
         with caplog.at_level("INFO", logger="gridlines.incidence"):

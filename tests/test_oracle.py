@@ -126,6 +126,12 @@ class TestAlgebraicTripleCount:
         assert res.count == _ratio_equation_reference(UNIT_SQUARE)
         assert res.delta == res.t_moment - 2 * 2**4 - res.count
 
+    def test_given_s3_is_used_in_place_of_a_build(self):
+        res = algebraic_triple_count(UNIT_SQUARE)
+        assert algebraic_triple_count(UNIT_SQUARE, s3=res.t_moment) == res
+        shifted = algebraic_triple_count(UNIT_SQUARE, s3=res.t_moment + 1)
+        assert shifted.t_moment == res.t_moment + 1 and shifted.delta == res.delta + 1
+
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from([5, 7, 11, 13]), st.integers(0, 2**32 - 1))
     def test_against_direct_enumeration(self, p, seed):

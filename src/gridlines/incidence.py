@@ -19,8 +19,9 @@ Three build strategies produce bit-identical histograms:
 
     naive         iterate over every line and every x, Theta(p**2 n)
     slope_direct  per-slope residue tally of y - m*x, ~p n**2 / 2
-    slope_fast    per-slope exact cyclic convolution, ~(p/2) L log2 L,
-                  with L = ntt.conv_length(p) the transform length
+    slope_fast    exact cyclic convolution, k slopes per transform,
+                  ~(p/2) L log2 L / k, with L = ntt.conv_length(p) the
+                  transform length and k = _digit_capacity(n)
 
 slope_direct and slope_fast group work per slope and use the
 inverse-slope symmetry: swapping coordinates maps A x A onto itself and
@@ -32,6 +33,12 @@ each has n lines through a full row or column of the grid.  Per-slope
 results merge by plain addition of sparse counts, so slopes may be
 processed in any order or concurrently.  naive uses no symmetry and
 stays the independent reference.
+
+slope_fast packs k slopes into one convolution as base-(n + 1) digits:
+a profile entry never exceeds n, so the k profiles come back as the
+digits of one exact integer below (n + 1)**k <= ntt.NTT_PRIME, with no
+carries between them.  k is 11 at n = 6, 4 for 72 <= n <= 210 and 3
+for 211 <= n <= 1261.
 """
 
 from __future__ import annotations
@@ -214,27 +221,29 @@ def moments(h: IncidenceHistogram) -> MomentSet:
 
 
 # Crossover constant of default_strategy: slope_direct while
-# n**2 <= _CROSSOVER_K * L * log2(L).  Fitted to best-of-3 wall times of
-# the paired strategies on uniform sets (one thread, 2-core x86-64 host,
-# numpy 2.4):
-#   p = 1009 (L = 2048)  fast 0.52 s  direct 0.30 / 0.46 / 0.63 s at n = 450 / 550 / 650
-#   p = 2003 (L = 4096)  fast 1.89 s  direct 1.04 / 1.51 / 1.73 s at n = 600 / 700 / 800
-#   p = 4001 (L = 8192)  fast 6.82 s  direct 3.87 / 5.80 / 8.63 s at n = 800 / 1000 / 1200
-# Direct time grows as n**2, so the two meet at n**2 = 15.6, 13.3 and
-# 10.8 times L log2 L; K is their geometric mean, rounded.
-_CROSSOVER_K = 13
+# n**2 * k <= _CROSSOVER_K * L * log2(L), k = _digit_capacity(n).
+# Fitted to best-of-5 wall times of the paired direct and packed fast
+# strategies on uniform sets (one thread, 2-core x86-64 host, numpy 2.4):
+#   p = 1009 (L = 2048)  n = 330, k = 3  fast 0.087 s  direct 0.112 s
+#   p = 2003 (L = 4096)  n = 390, k = 3  fast 0.337 s  direct 0.381 s
+#   p = 4001 (L = 8192)  n = 470, k = 3  fast 1.275 s  direct 1.235 s
+# Direct time grows as n**2, so the two meet at n near 290, 367 and 477,
+# where n**2 * k is 11.2, 8.2 and 6.4 times L log2 L; K is their
+# geometric mean, rounded.
+_CROSSOVER_K = 8
 
 
 def default_strategy(p: int, n: int) -> str:
     """The cheaper slope strategy for a set of n elements mod p.
 
-    slope_direct costs about p * n**2 / 2 tallied keys and slope_fast
-    about p / 2 transforms of length L = ntt.conv_length(p), so direct
-    wins while n**2 <= K * L * log2(L), K = _CROSSOVER_K fitted to
+    slope_direct costs about p * n**2 / 2 tallied keys.  slope_fast
+    packs k = _digit_capacity(n) slopes into each transform, so it costs
+    about p / (2k) transforms of length L = ntt.conv_length(p).  Direct
+    wins while n**2 * k <= K * L * log2(L), K = _CROSSOVER_K fitted to
     measured timings; beyond that slope_fast.
     """
     length = ntt.conv_length(p)
-    if n * n <= _CROSSOVER_K * length * (length.bit_length() - 1):
+    if n * n * _digit_capacity(max(n, 1)) <= _CROSSOVER_K * length * (length.bit_length() - 1):
         return "slope_direct"
     return "slope_fast"
 
@@ -362,19 +371,50 @@ def _tally_slopes_direct(A: FieldSubset, acc: np.ndarray) -> None:
             acc += weight * part[: len(acc)]
 
 
-def _tally_slopes_fast(A: FieldSubset, acc: np.ndarray) -> None:
-    """Tally per-slope profiles via exact cyclic convolution.
+def _digit_capacity(n: int) -> int:
+    """Largest k with (n + 1)**k <= ntt.NTT_PRIME, for n >= 1.
 
-    The indicator of A (as y-values) is transformed once; each slope m
-    contributes the convolution with the indicator of {-m*x : x in A}.
+    Profiles of k slopes packed as base-(n + 1) digits stay below
+    (n + 1)**k, hence below the NTT modulus, so they come back exact.
     """
-    p = A.p
+    base = n + 1
+    k, power = 0, base
+    while power <= ntt.NTT_PRIME:
+        k += 1
+        power *= base
+    return k
+
+
+def _tally_slopes_fast(A: FieldSubset, acc: np.ndarray) -> None:
+    """Tally per-slope profiles via exact cyclic convolution, k slopes at once.
+
+    The indicator f of A (as y-values) is transformed once.  Each
+    convolution takes k slopes m_0..m_{k-1} and the second factor
+    g = sum_j B**j * 1_{-m_j A} with B = n + 1, so entry b of f * g is
+    sum_j B**j * i(Sloped(m_j, b)).  Every count is at most n < B, so
+    the digits of that value in base B are the k profiles, and the
+    value itself is below B**k <= NTT_PRIME, so the transform returns it
+    exactly (k = _digit_capacity(n)).
+    """
+    p, n = A.p, A.n
     elems = np.asarray(A.elements, dtype=np.int64)
     f = np.zeros(p, dtype=np.int64)
     f[elems] = 1
     fw = ntt.forward_padded(f, p)
-    for slopes, weight in _slope_classes(p):
-        for m in slopes:
-            g = np.bincount((-(int(m) * elems)) % p, minlength=p).astype(np.int64)
-            profile = ntt.convolve_with_transform(fw, g, p)
-            acc += weight * np.bincount(profile, minlength=len(acc))[: len(acc)]
+    classes = _slope_classes(p)
+    slopes = np.concatenate([s for s, _ in classes])
+    weights = np.concatenate([np.full(len(s), w, dtype=np.int64) for s, w in classes])
+    base = n + 1
+    k = _digit_capacity(n)
+    g = np.empty(p, dtype=np.int64)
+    for start in range(0, len(slopes), k):
+        g.fill(0)
+        power = 1
+        for m in slopes[start:start + k]:
+            # -m*x runs over distinct residues, so the indices are unique.
+            g[(-int(m) * elems) % p] += power
+            power *= base
+        packed = ntt.convolve_with_transform(fw, g, p)
+        for weight in weights[start:start + k]:
+            packed, digit = np.divmod(packed, base)
+            acc += weight * np.bincount(digit, minlength=base)

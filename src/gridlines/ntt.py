@@ -4,11 +4,14 @@ The incidence counts produced by convolving set indicators are plain
 integers, so the transform must be exact; floating-point FFTs are not
 usable here.  We work in the prime field mod Q = 15 * 2**27 + 1
 (= 2013265921, primitive root 31), which supports power-of-two transform
-lengths up to 2**27.  True convolution values are bounded by the set
-size n < Q, so reducing mod Q loses nothing and the results are exact.
+lengths up to 2**27.  Results are exact as long as every true
+convolution value is below Q: a single incidence profile is bounded by
+the set size n < Q, and k profiles packed as base-(n + 1) digits by
+(n + 1)**k - 1 < Q (see incidence._tally_slopes_fast).
 
-Products of two residues below Q < 2**31 fit in int64, which lets the
-butterflies run vectorized on numpy int64 arrays with explicit mod steps.
+Products of two residues below Q < 2**31 fit in 64 bits, which lets the
+butterflies run vectorized on numpy uint64 views: one mod step for the
+twiddle product, and a conditional +-Q for the sum and the difference.
 """
 
 from __future__ import annotations
@@ -40,13 +43,40 @@ def _twiddles(log2n: int, inverse: bool):
         w = pow(NTT_ROOT, (q - 1) // s, q)
         if inverse:
             w = pow(w, q - 2, q)
-        tw = np.empty(s // 2, dtype=np.int64)
+        tw = np.empty(s // 2, dtype=np.uint64)
         acc = 1
         for k in range(s // 2):
             tw[k] = acc
             acc = acc * w % q
         tables.append(tw)
     return tables
+
+
+# Below this half-block width a level runs column by column: numpy's
+# inner loops over rows of one or two elements cost more than the
+# arithmetic they do.
+_COLUMN_WIDTH = 4
+# Q as a read-only 0-d uint64 array: numpy takes it on a faster path
+# than a Python int or a numpy scalar operand.
+_Q64 = np.array(NTT_PRIME, dtype=np.uint64)
+_Q64.setflags(write=False)
+
+
+def _butterfly(even: np.ndarray, odd: np.ndarray, tw) -> None:
+    """(even, odd) <- (even + tw*odd, even - tw*odd) mod Q, in place.
+
+    Works on uint64 views whose entries lie in [0, Q), so a sum or a
+    difference is off by at most one Q.  In wrapping unsigned arithmetic
+    min(s, s - Q) and min(d, d + Q) pick the reduced value, a
+    conditional -Q or +Q without a division.
+    """
+    t = odd * tw
+    t %= _Q64
+    np.subtract(even, t, out=odd)
+    np.minimum(odd, odd + _Q64, out=odd)
+    even += t
+    np.subtract(even, _Q64, out=t)
+    np.minimum(even, t, out=even)
 
 
 def _transform(values: np.ndarray, inverse: bool) -> np.ndarray:
@@ -56,16 +86,15 @@ def _transform(values: np.ndarray, inverse: bool) -> np.ndarray:
     if 1 << log2n != n or log2n > _MAX_LOG2:
         raise ValueError(f"transform length {n} not a power of two <= 2**{_MAX_LOG2}")
     a = values[_bit_reversal(log2n)].astype(np.int64) % q
+    u = a.view(np.uint64)
     for level, tw in enumerate(_twiddles(log2n, inverse), start=1):
-        s = 1 << level
-        blocks = a.reshape(-1, s)
-        even = blocks[:, : s // 2]
-        odd = blocks[:, s // 2:]
-        t = odd * tw[None, :] % q
-        upper = (even + t) % q
-        lower = (even - t) % q
-        blocks[:, : s // 2] = upper
-        blocks[:, s // 2:] = lower
+        half = 1 << (level - 1)
+        blocks = u.reshape(-1, 2 * half)
+        if half < _COLUMN_WIDTH:
+            for j in range(half):
+                _butterfly(blocks[:, j], blocks[:, half + j], tw[j])
+        else:
+            _butterfly(blocks[:, :half], blocks[:, half:], tw)
     if inverse:
         n_inv = pow(n, q - 2, q)
         a = a * n_inv % q

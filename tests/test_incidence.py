@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridlines import ntt
 from gridlines.errors import InvalidParameter, ModulusMismatch
 from gridlines.fieldsets import from_list, gen_full_field, gen_uniform, validate_prime
 from gridlines.incidence import (
     IncidenceHistogram,
     Sloped,
     Vertical,
+    _digit_capacity,
     all_lines,
     default_strategy,
     incidence_count,
@@ -96,6 +98,14 @@ class TestSlopeProfile:
             assert sorted(slope_profile(A, m)) == sorted(slope_profile(A, inv))
 
 
+@pytest.mark.parametrize(
+    "n, k", [(1, 30), (71, 5), (72, 4), (210, 4), (211, 3), (1261, 3), (1262, 2)]
+)
+def test_digit_capacity(n, k):
+    assert _digit_capacity(n) == k
+    assert (n + 1) ** k <= ntt.NTT_PRIME < (n + 1) ** (k + 1)
+
+
 class TestHistogram:
     def test_hand_case_all_strategies(self):
         for strat in ("naive", "slope_direct", "slope_fast"):
@@ -138,6 +148,35 @@ class TestHistogram:
             naive = incidence_histogram(A, "naive").counts
             assert incidence_histogram(A, "slope_direct").counts == naive, elements
             assert incidence_histogram(A, "slope_fast").counts == naive, elements
+
+    @pytest.mark.parametrize("p", [73, 79])
+    def test_packed_fast_matches_naive_across_digit_capacity(self, p):
+        # k = 5 slopes per convolution at n = 71 and 4 at n = 72.
+        m = validate_prime(p)
+        rng = SplitMix64(p)
+        sets = [list(range(p)), [0], [p - 1]]
+        for n in (71, 72):
+            sets.append(sorted(gen_uniform(m, n, seed=rng.next_u64()).elements))
+        for elements in sets:
+            A = from_list(m, elements)
+            naive = incidence_histogram(A, "naive").counts
+            assert incidence_histogram(A, "slope_fast").counts == naive, len(elements)
+
+    # (p + 1) / 2 slope classes, k slopes per convolution:
+    # 37 / 4, 51 / 11 and 40 / 30, rounded up.
+    @pytest.mark.parametrize("p, n, expected", [(73, 72, 10), (101, 6, 5), (79, 1, 2)])
+    def test_packed_fast_convolution_count(self, p, n, expected, monkeypatch):
+        calls = []
+        original = ntt.convolve_with_transform
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ntt, "convolve_with_transform", counting)
+        A = gen_uniform(validate_prime(p), n, seed=p)
+        incidence_histogram(A, "slope_fast")
+        assert len(calls) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(SMALL_PRIMES), st.integers(0, 2**32 - 1))
@@ -229,10 +268,14 @@ class TestSerializationAndMerge:
 
 class TestDefaultStrategy:
     def test_rule(self):
-        # Measured equal-cost points: n near 590 at p = 1009 and 810 at
-        # p = 2003 (incidence._CROSSOVER_K); pinned on both sides.
+        # Measured equal-cost points: n near 290 at p = 1009 and 367 at
+        # p = 2003 (incidence._CROSSOVER_K); the rule keeps slope_direct
+        # up to n = 245 and 362.  Pinned on both sides.
         assert default_strategy(2003, 159) == "slope_direct"
-        assert default_strategy(1009, 300) == "slope_direct"
+        assert default_strategy(1009, 200) == "slope_direct"
+        assert default_strategy(2003, 350) == "slope_direct"
+        assert default_strategy(1009, 300) == "slope_fast"
+        assert default_strategy(2003, 600) == "slope_fast"
         assert default_strategy(1009, 605) == "slope_fast"
         assert default_strategy(2003, 1002) == "slope_fast"
 

@@ -76,3 +76,18 @@ def test_precomputed_transform_agrees():
         assert np.array_equal(
             convolve_with_transform(fw, g, p), cyclic_convolve(f, g, p)
         )
+
+
+def test_butterfly_wrap_branches_at_residue_extremes():
+    # Entries at 0 and Q - 1 push butterfly sums up to 2Q - 2 and
+    # differences below zero, so both conditional corrections run.
+    p = 13
+    top = NTT_PRIME - 1
+    f = np.array([top, 0, top, top, 0, 0, top, 0, top, 0, 0, top, top], dtype=np.int64)
+    g = np.array([0 if i % 3 else top for i in range(p)], dtype=np.int64)
+    expected = _reference_cyclic([int(v) for v in f], [int(v) for v in g], p)
+    got = cyclic_convolve(f, g, p) % NTT_PRIME
+    assert list(got) == [v % NTT_PRIME for v in expected]
+    padded = np.zeros(conv_length(p), dtype=np.int64)
+    padded[:p] = f
+    assert np.array_equal(intt(ntt(padded)), padded)

@@ -12,9 +12,12 @@ import logging
 import sys
 from typing import List, Optional
 
+from . import oracle
 from .errors import GridlinesError
 from .harness import (
     ExperimentConfig,
+    SweepResult,
+    report_row,
     run_moments,
     run_support,
     run_sweep,
@@ -25,6 +28,7 @@ from .harness import (
     sweep_to_json_dict,
     write_text,
 )
+from .incidence import STRATEGIES
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -40,12 +44,10 @@ def _add_common(sp: argparse.ArgumentParser, multi_prime: bool = False) -> None:
                         help="odd prime modulus")
     sp.add_argument("--set", required=True, dest="set_descriptor",
                     help="set descriptor, e.g. list:0,1 or bernoulli:0.3:42")
-    sp.add_argument("--strategy", choices=["naive", "slope_direct", "slope_fast"],
+    sp.add_argument("--strategy", choices=STRATEGIES,
                     default=None, help="histogram strategy (default: auto)")
     sp.add_argument("--seed", type=int, default=0,
                     help="base seed for random families (default 0)")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="parallel workers for sweeps (default 1)")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--format", choices=["json", "csv"], default="json",
                     dest="fmt", help="output format")
@@ -66,15 +68,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="all exact checks plus oracle cross-checks")
     _add_common(sp)
-    sp.add_argument("--t-cap", type=int, default=8, help="max n for triple oracle")
-    sp.add_argument("--q-cap", type=int, default=6, help="max n for quadruple oracle")
-    sp.add_argument("--alg-cap", type=int, default=20,
+    sp.add_argument("--t-cap", type=int, default=oracle.T_BRUTE_CAP,
+                    help="max n for triple oracle")
+    sp.add_argument("--q-cap", type=int, default=oracle.Q_BRUTE_CAP,
+                    help="max n for quadruple oracle")
+    sp.add_argument("--alg-cap", type=int, default=oracle.ALGEBRAIC_CAP,
                     help="max n for the ratio-equation count")
     sp.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     sp = sub.add_parser("sweep", help="multi-prime Monte Carlo sweep")
     _add_common(sp, multi_prime=True)
     sp.add_argument("--trials", type=int, default=1, help="trials per prime")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="parallel worker processes (default 1)")
 
     sp = sub.add_parser("support", help="product-representation support census")
     _add_common(sp)
@@ -97,10 +103,10 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
         strategy=args.strategy,
         trials=getattr(args, "trials", 1),
         seed=args.seed,
-        threads=args.threads,
-        t_cap=getattr(args, "t_cap", 8),
-        q_cap=getattr(args, "q_cap", 6),
-        alg_cap=getattr(args, "alg_cap", 20),
+        threads=getattr(args, "threads", 1),
+        t_cap=getattr(args, "t_cap", oracle.T_BRUTE_CAP),
+        q_cap=getattr(args, "q_cap", oracle.Q_BRUTE_CAP),
+        alg_cap=getattr(args, "alg_cap", oracle.ALGEBRAIC_CAP),
         timings=args.timings,
         inject_fault=getattr(args, "inject_fault", False),
     )
@@ -121,20 +127,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 write_text(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
             else:
                 # CSV form: one sweep-style row for machine consumption.
-                from .harness import SweepRow, SweepResult, _aggregate, sweep_to_csv as _to_csv
-
-                row = SweepRow(
-                    prime=report.p, trial=0, seed=report.seed or 0, n=report.n,
-                    s1=report.moment_set.s1, s2=report.moment_set.s2,
-                    t=report.moment_set.s3, q=report.moment_set.s4,
-                    expected_t=report.expected_t, expected_q=report.expected_q,
-                    t_ratio=report.ratios.t_ratio, q_ratio=report.ratios.q_ratio,
-                    proposition_pass=report.proposition.passed,
-                    class_bound_pass=report.class_bound.passed,
-                    wall_time_ms=(report.timings_ms or {}).get("histogram", 0.0),
-                )
-                result = SweepResult(cfg, [row], _aggregate([row]))
-                write_text(args.out, _to_csv(result))
+                wall = (report.timings_ms or {}).get("histogram", 0.0)
+                row = report_row(report, 0, wall)
+                write_text(args.out, sweep_to_csv(SweepResult(cfg, [row])))
             return EXIT_OK if report.overall_pass else EXIT_CHECK_FAILED
         if args.command == "sweep":
             result = run_sweep(cfg)

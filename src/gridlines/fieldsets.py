@@ -53,7 +53,7 @@ _BERNOULLI_CHUNK = 1 << 20
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -142,17 +142,14 @@ class FieldSubset:
 
 
 def _canonical(m: PrimeModulus, items: Iterable[int], provenance: str) -> FieldSubset:
-    elems = sorted(items)
-    for a, b in zip(elems, elems[1:]):
-        if a == b:
-            raise DuplicateElement(f"duplicate element {a}")
-    return FieldSubset(m, tuple(elems), provenance)
+    # FieldSubset rejects the duplicates that sorting makes adjacent.
+    return FieldSubset(m, tuple(sorted(items)), provenance)
 
 
 def from_list(m: PrimeModulus, items: Sequence[int]) -> FieldSubset:
     """Explicit set; rejects duplicates and out-of-range elements."""
-    return _canonical(m, [int(x) for x in items],
-                      "list:" + ",".join(str(x) for x in sorted(items)))
+    elems = sorted(int(x) for x in items)
+    return FieldSubset(m, tuple(elems), "list:" + ",".join(map(str, elems)))
 
 
 def gen_bernoulli(m: PrimeModulus, q, seed: int) -> FieldSubset:

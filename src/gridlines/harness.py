@@ -26,22 +26,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import oracle
-from .bounds import (
-    VerificationReport,
-    class_bound_check,
-    expected_q,
-    expected_t,
-    proposition_check,
-    ratio_diagnostics,
-    render_fraction,
-    root_fraction,
-    verify_histogram,
-)
+from .bounds import VerificationReport, render_fraction, root_fraction, verify_histogram
 from .errors import GridlinesError, InvalidParameter
-from .fieldsets import SetSpec, parse_set_descriptor, validate_prime
+from .fieldsets import FieldSubset, SetSpec, parse_set_descriptor, validate_prime
 from .incidence import (
     IncidenceHistogram,
     default_strategy,
@@ -82,20 +72,18 @@ class ExperimentConfig:
         return parse_set_descriptor(self.set_descriptor)
 
 
-def _realize(cfg: ExperimentConfig, prime: int, seed: Optional[int] = None):
-    m = validate_prime(prime)
+def _single_prime(cfg: ExperimentConfig, command: str) -> Tuple[FieldSubset, int]:
+    """The subset of a one-prime run and the seed that built it."""
+    if len(cfg.primes) != 1:
+        raise InvalidParameter(f"{command} runs on exactly one prime")
     spec = cfg.spec
-    eff = seed if seed is not None else cfg.seed
-    subset = spec.realize(m, eff)
-    used_seed = spec.seed if spec.seed is not None else eff
-    return m, subset, (used_seed if spec.is_random else eff)
+    subset = spec.realize(validate_prime(cfg.primes[0]), cfg.seed)
+    return subset, spec.seed if spec.seed is not None else cfg.seed
 
 
 def run_moments(cfg: ExperimentConfig) -> VerificationReport:
     """Histogram + moments + full verifier output for a single (p, A)."""
-    if len(cfg.primes) != 1:
-        raise InvalidParameter("moments runs on exactly one prime")
-    _, subset, used_seed = _realize(cfg, cfg.primes[0])
+    subset, used_seed = _single_prime(cfg, "moments")
     strategy = cfg.strategy or default_strategy(subset.p, subset.n)
     t0 = time.perf_counter()
     hist = incidence_histogram(subset, strategy)
@@ -120,9 +108,7 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
     p**2 * n stays under NAIVE_BUDGET; the two slope strategies are
     always compared.  Oracle cross-checks run when n is within caps.
     """
-    if len(cfg.primes) != 1:
-        raise InvalidParameter("verify runs on exactly one prime")
-    _, subset, used_seed = _realize(cfg, cfg.primes[0])
+    subset, used_seed = _single_prime(cfg, "verify")
     p, n = subset.p, subset.n
     strategy = cfg.strategy or default_strategy(p, n)
     t0 = time.perf_counter()
@@ -186,43 +172,45 @@ class SweepRow:
         return self.proposition_pass and self.class_bound_pass
 
 
-def _sweep_trial(args: tuple) -> SweepRow:
-    descriptor, strategy, base_seed, prime, trial = args
-    seed = trial_seed(base_seed, prime, trial)
-    m = validate_prime(prime)
-    spec = parse_set_descriptor(descriptor)
-    # Sweeps always derive per-trial seeds; a seed embedded in the
-    # descriptor would repeat the identical set every trial.
-    subset = spec.realize(m, seed) if spec.seed is None else replace(spec, seed=None).realize(m, seed)
-    t0 = time.perf_counter()
-    hist = incidence_histogram(subset, strategy or default_strategy(subset.p, subset.n))
-    ms = moments(hist)
-    prop = proposition_check(hist, ms)
-    cls_bound = class_bound_check(hist)
-    ratios = ratio_diagnostics(hist, ms)
-    wall = (time.perf_counter() - t0) * 1000.0
-    exp_t = expected_t(subset.p, subset.n)
-    if ms.s1 != (subset.p + 1) * subset.n ** 2 or ms.s2 != subset.n ** 4 + subset.p * subset.n ** 2:
-        raise GridlinesError(
-            f"moment identity violated at p={prime}, trial={trial}: engine defect"
-        )
+def report_row(report: VerificationReport, trial: int, wall_ms: float) -> SweepRow:
+    """The sweep row of one verified histogram."""
+    ms = report.moment_set
     return SweepRow(
-        prime=prime,
+        prime=report.p,
         trial=trial,
-        seed=seed,
-        n=subset.n,
+        seed=report.seed,
+        n=report.n,
         s1=ms.s1,
         s2=ms.s2,
         t=ms.s3,
         q=ms.s4,
-        expected_t=exp_t,
-        expected_q=expected_q(subset.p, subset.n),
-        t_ratio=ratios.t_ratio,
-        q_ratio=ratios.q_ratio,
-        proposition_pass=prop.passed,
-        class_bound_pass=cls_bound.passed,
-        wall_time_ms=wall,
+        expected_t=report.expected_t,
+        expected_q=report.expected_q,
+        t_ratio=report.ratios.t_ratio,
+        q_ratio=report.ratios.q_ratio,
+        proposition_pass=report.proposition.passed,
+        class_bound_pass=report.class_bound.passed,
+        wall_time_ms=wall_ms,
     )
+
+
+def _sweep_trial(args: tuple) -> SweepRow:
+    descriptor, strategy, base_seed, prime, trial = args
+    seed = trial_seed(base_seed, prime, trial)
+    # Sweeps always derive per-trial seeds; a seed embedded in the
+    # descriptor would repeat the identical set every trial.
+    spec = replace(parse_set_descriptor(descriptor), seed=None)
+    subset = spec.realize(validate_prime(prime), seed)
+    t0 = time.perf_counter()
+    strategy = strategy or default_strategy(subset.p, subset.n)
+    hist = incidence_histogram(subset, strategy)
+    report = verify_histogram(hist, subset.provenance, seed, strategy)
+    wall = (time.perf_counter() - t0) * 1000.0
+    if not all(check.passed for check in report.identities):
+        raise GridlinesError(
+            f"moment identity violated at p={prime}, trial={trial}: engine defect"
+        )
+    return report_row(report, trial, wall)
 
 
 @dataclass(frozen=True)
@@ -236,23 +224,22 @@ class SweepAggregate:
 class SweepResult:
     config: ExperimentConfig
     rows: List[SweepRow]
-    aggregate: SweepAggregate
 
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-
-def _aggregate(rows: Sequence[SweepRow]) -> SweepAggregate:
-    ratios = [r.t_over_expected for r in rows if r.t_over_expected is not None]
-    if not ratios:
-        return SweepAggregate(0, None, None)
-    mean = sum(ratios, Fraction(0)) / len(ratios)
-    if len(ratios) == 1:
-        return SweepAggregate(1, mean, Fraction(0))
-    var = sum((x - mean) ** 2 for x in ratios) / (len(ratios) - 1)
-    std = root_fraction(var.numerator * var.denominator) / var.denominator
-    return SweepAggregate(len(ratios), mean, std)
+    @property
+    def aggregate(self) -> SweepAggregate:
+        ratios = [r.t_over_expected for r in self.rows if r.t_over_expected is not None]
+        if not ratios:
+            return SweepAggregate(0, None, None)
+        mean = sum(ratios, Fraction(0)) / len(ratios)
+        if len(ratios) == 1:
+            return SweepAggregate(1, mean, Fraction(0))
+        var = sum((x - mean) ** 2 for x in ratios) / (len(ratios) - 1)
+        std = root_fraction(var.numerator * var.denominator) / var.denominator
+        return SweepAggregate(len(ratios), mean, std)
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -280,7 +267,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
             for task, fut in futures:
                 rows.append(_run_task_with_context(task, fut.result))
     rows.sort(key=lambda r: (r.prime, r.trial))
-    return SweepResult(cfg, rows, _aggregate(rows))
+    return SweepResult(cfg, rows)
 
 
 def _run_task_with_context(task: tuple, call, *args) -> SweepRow:
@@ -293,6 +280,8 @@ def _run_task_with_context(task: tuple, call, *args) -> SweepRow:
         ) from exc
 
 
+# The sweep columns are SweepRow fields; CSV and JSON render the same
+# values in this order.
 SWEEP_COLUMNS = [
     "prime", "trial", "seed", "n", "s1", "s2", "t", "q",
     "expected_t", "expected_q", "t_ratio", "q_ratio",
@@ -300,20 +289,20 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _row_fields(row: SweepRow, timings: bool) -> List[str]:
-    def frac(x: Optional[Fraction]) -> str:
-        return "" if x is None else render_fraction(x)
+def _row_values(row: SweepRow) -> list:
+    return [getattr(row, column) for column in SWEEP_COLUMNS]
 
-    out = [
-        str(row.prime), str(row.trial), str(row.seed), str(row.n),
-        str(row.s1), str(row.s2), str(row.t), str(row.q),
-        frac(row.expected_t), frac(row.expected_q),
-        frac(row.t_ratio), frac(row.q_ratio),
-        str(int(row.proposition_pass)), str(int(row.class_bound_pass)),
-    ]
-    if timings:
-        out.append(f"{row.wall_time_ms:.3f}")
-    return out
+
+def _json_cell(value):
+    return render_fraction(value) if isinstance(value, Fraction) else value
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, Fraction):
+        return render_fraction(value)
+    return str(int(value))  # ints, and bools as 0/1
 
 
 def sweep_to_csv(result: SweepResult) -> str:
@@ -321,41 +310,27 @@ def sweep_to_csv(result: SweepResult) -> str:
     header = SWEEP_COLUMNS + (["wall_time_ms"] if timings else [])
     lines = [",".join(header)]
     for row in result.rows:
-        lines.append(",".join(_row_fields(row, timings)))
+        cells = [_csv_cell(v) for v in _row_values(row)]
+        if timings:
+            cells.append(f"{row.wall_time_ms:.3f}")
+        lines.append(",".join(cells))
     agg = result.aggregate
     footer = [""] * len(header)
     footer[0] = "aggregate"
     footer[1] = str(agg.rows_used)
     if agg.mean_t_over_expected is not None:
-        footer[10] = render_fraction(agg.mean_t_over_expected)
-        footer[11] = render_fraction(agg.stddev_t_over_expected)
+        footer[SWEEP_COLUMNS.index("t_ratio")] = render_fraction(agg.mean_t_over_expected)
+        footer[SWEEP_COLUMNS.index("q_ratio")] = render_fraction(agg.stddev_t_over_expected)
     lines.append(",".join(footer))
     return "\n".join(lines) + "\n"
 
 
 def sweep_to_json_dict(result: SweepResult) -> dict:
     agg = result.aggregate
-
-    def frac(x: Optional[Fraction]) -> Optional[str]:
-        return None if x is None else render_fraction(x)
-
     rows = []
     for row in result.rows:
         item = {
-            "prime": row.prime,
-            "trial": row.trial,
-            "seed": row.seed,
-            "n": row.n,
-            "s1": row.s1,
-            "s2": row.s2,
-            "t": row.t,
-            "q": row.q,
-            "expected_t": frac(row.expected_t),
-            "expected_q": frac(row.expected_q),
-            "t_ratio": frac(row.t_ratio),
-            "q_ratio": frac(row.q_ratio),
-            "proposition_pass": row.proposition_pass,
-            "class_bound_pass": row.class_bound_pass,
+            column: _json_cell(v) for column, v in zip(SWEEP_COLUMNS, _row_values(row))
         }
         if result.config.timings:
             item["wall_time_ms"] = round(row.wall_time_ms, 3)
@@ -372,8 +347,8 @@ def sweep_to_json_dict(result: SweepResult) -> dict:
         "rows": rows,
         "aggregate": {
             "rows": agg.rows_used,
-            "mean_t_over_expected": frac(agg.mean_t_over_expected),
-            "stddev_t_over_expected": frac(agg.stddev_t_over_expected),
+            "mean_t_over_expected": _json_cell(agg.mean_t_over_expected),
+            "stddev_t_over_expected": _json_cell(agg.stddev_t_over_expected),
         },
         "all_passed": result.all_passed,
     }
@@ -381,9 +356,7 @@ def sweep_to_json_dict(result: SweepResult) -> dict:
 
 def run_support(cfg: ExperimentConfig, sample: Optional[int] = None):
     """Support census for a single (p, A)."""
-    if len(cfg.primes) != 1:
-        raise InvalidParameter("support runs on exactly one prime")
-    _, subset, _ = _realize(cfg, cfg.primes[0])
+    subset, _ = _single_prime(cfg, "support")
     return support_census(subset, sample=sample, seed=cfg.seed)
 
 

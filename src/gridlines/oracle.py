@@ -10,6 +10,11 @@ tuple enumeration sees it once.  The oracles therefore enumerate tuples
 that are NOT all equal (each lies on exactly one common line) and add
 (p + 1) * n**2 for the all-equal family.
 
+Both oracles read one boolean collinearity tensor over the n**2 grid
+points, built with numpy from an element array whose dtype is int64 for
+p < 2**31 and object (Python integers) above, where the determinant
+products could overflow int64.
+
 Costs are Theta(n**6) for triples and Theta(n**8) for quadruples, hence
 the hard size caps; raise them only knowingly.
 """
@@ -29,8 +34,9 @@ T_BRUTE_CAP = 8
 Q_BRUTE_CAP = 6
 ALGEBRAIC_CAP = 20
 
-# numpy path needs determinant products to fit in int64
-_NUMPY_P_LIMIT = 1 << 31
+# Below this modulus the determinant products fit in int64; above it the
+# same array code runs on Python integers (dtype object).
+_INT64_P_LIMIT = 1 << 31
 
 
 class Point(NamedTuple):
@@ -49,15 +55,11 @@ def collinear(u, v, w, p: int) -> bool:
     return det % p == 0
 
 
-def _grid(A: FieldSubset) -> list:
-    return [Point(x, y) for x in A.elements for y in A.elements]
-
-
 def _collinear_tensor(A: FieldSubset) -> np.ndarray:
     """Boolean tensor D[a, b, c] = collinearity of grid points a, b, c."""
     p = A.p
-    pts = np.array([(x, y) for x in A.elements for y in A.elements], dtype=np.int64)
-    xs, ys = pts[:, 0], pts[:, 1]
+    elems = np.array(A.elements, dtype=np.int64 if p < _INT64_P_LIMIT else object)
+    xs, ys = np.repeat(elems, A.n), np.tile(elems, A.n)
     dx = (xs[None, :] - xs[:, None]) % p   # dx[a, b] = x_b - x_a
     dy = (ys[None, :] - ys[:, None]) % p
     det = dx[:, :, None] * dy[:, None, :] - dx[:, None, :] * dy[:, :, None]
@@ -71,14 +73,7 @@ def t_brute(A: FieldSubset, cap: int = T_BRUTE_CAP) -> int:
         raise CapExceeded(f"t_brute: n = {n} exceeds cap {cap}")
     if n == 0:
         return 0
-    if p < _NUMPY_P_LIMIT:
-        d = _collinear_tensor(A)
-        not_all_equal = int(d.sum()) - n * n
-    else:
-        pts = _grid(A)
-        not_all_equal = sum(
-            collinear(u, v, w, p) for u in pts for v in pts for w in pts
-        ) - n * n
+    not_all_equal = int(_collinear_tensor(A).sum()) - n * n
     return not_all_equal + (p + 1) * n * n
 
 
@@ -94,34 +89,18 @@ def q_brute(A: FieldSubset, cap: int = Q_BRUTE_CAP) -> int:
         raise CapExceeded(f"q_brute: n = {n} exceeds cap {cap}")
     if n == 0:
         return 0
-    if p < _NUMPY_P_LIMIT:
-        d = _collinear_tensor(A)
-        total = 0
-        for a in range(n * n):
-            da = d[a]
-            block = (
-                da[:, :, None]      # (a, b, c)
-                & da[:, None, :]    # (a, b, d)
-                & da[None, :, :]    # (a, c, d)
-                & d                 # (b, c, d)
-            )
-            total += int(block.sum())
-        not_all_equal = total - n * n
-    else:
-        pts = _grid(A)
-        not_all_equal = -n * n
-        for u in pts:
-            for v in pts:
-                for w in pts:
-                    if not collinear(u, v, w, p):
-                        continue
-                    for z in pts:
-                        if (
-                            collinear(u, v, z, p)
-                            and collinear(u, w, z, p)
-                            and collinear(v, w, z, p)
-                        ):
-                            not_all_equal += 1
+    d = _collinear_tensor(A)
+    total = 0
+    for a in range(n * n):
+        da = d[a]
+        block = (
+            da[:, :, None]      # (a, b, c)
+            & da[:, None, :]    # (a, b, d)
+            & da[None, :, :]    # (a, c, d)
+            & d                 # (b, c, d)
+        )
+        total += int(block.sum())
+    not_all_equal = total - n * n
     return not_all_equal + (p + 1) * n * n
 
 

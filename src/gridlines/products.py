@@ -13,6 +13,10 @@ markedly smaller supports than random ones, which is what the census
 quantifies.  The fitted exponent reported by the census is a plain
 least-action fit of mean_support = n**2 / (ln n)**gamma and carries no
 proven meaning; it is a diagnostic only.
+
+A table is one numpy pass over the n**2 pairs: an outer product of the
+differences and np.unique.  The element array is int64 for p < 2**31 and
+object (Python integers) above, where the products would overflow int64.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from .errors import InvalidParameter
 from .fieldsets import FieldSubset
 from .rng import SplitMix64
 
-_NUMPY_P_LIMIT = 1 << 31
+# Below this modulus the difference products fit in int64; above it the
+# same array code runs on Python integers (dtype object).
+_INT64_P_LIMIT = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -51,20 +57,12 @@ class ProductRepTable:
 def product_rep_table(A: FieldSubset, a1: int, a3: int) -> ProductRepTable:
     """Exact table by enumerating all n**2 pairs (a2, a4)."""
     p = A.p
-    if p < _NUMPY_P_LIMIT and A.n >= 8:
-        elems = np.asarray(A.elements, dtype=np.int64)
-        d1 = (a1 - elems) % p
-        d3 = (a3 - elems) % p
-        prods = d1[:, None] * d3[None, :] % p
-        values, counts = np.unique(prods.ravel(), return_counts=True)
-        table = {int(v): int(c) for v, c in zip(values, counts)}
-    else:
-        table = {}
-        for a2 in A.elements:
-            d1 = (a1 - a2) % p
-            for a4 in A.elements:
-                x = d1 * (a3 - a4) % p
-                table[x] = table.get(x, 0) + 1
+    elems = np.array(A.elements, dtype=np.int64 if p < _INT64_P_LIMIT else object)
+    d1 = (a1 - elems) % p
+    d3 = (a3 - elems) % p
+    prods = d1[:, None] * d3[None, :] % p
+    values, counts = np.unique(prods.ravel(), return_counts=True)
+    table = {int(v): int(c) for v, c in zip(values, counts)}
     return ProductRepTable(a1, a3, table)
 
 

@@ -5,6 +5,15 @@ import pytest
 from gridlines.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
+# moments and verify print the same one-row sweep CSV for list:0,1 at p = 5.
+HAND_CASE_CSV = (
+    "prime,trial,seed,n,s1,s2,t,q,expected_t,expected_q,t_ratio,q_ratio,"
+    "proposition_pass,class_bound_pass\n"
+    "5,0,0,2,24,36,60,108,44.8,74.24,1.57487667356,2.55681818182,1,1\n"
+    "aggregate,1,,,,,,,,,1.33928571429,0,,\n"
+)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -40,7 +49,7 @@ class TestMoments:
             capsys, "moments", "--prime", "5", "--set", "list:0,1",
             "--format", "csv")
         assert code == EXIT_OK
-        assert out.splitlines()[0].startswith("prime,trial,seed,n,s1")
+        assert out == HAND_CASE_CSV
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -64,6 +73,13 @@ class TestVerify:
         assert code == EXIT_OK
         data = json.loads(out)
         assert data["oracle"]["t_brute"] == data["moments"]["t"]
+
+    def test_csv_format(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--prime", "5", "--set", "list:0,1",
+            "--format", "csv")
+        assert code == EXIT_OK
+        assert out == HAND_CASE_CSV
 
     def test_injected_fault_negative_control(self, capsys):
         code, out, _ = run_cli(
@@ -122,6 +138,12 @@ class TestUsage:
     def test_no_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])
+        assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["moments", "verify", "support"])
+    def test_threads_belongs_to_sweep_only(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--prime", "5", "--set", "list:0,1", "--threads", "2"])
         assert exc.value.code == EXIT_USAGE
 
     def test_unknown_strategy_rejected_by_argparse(self):

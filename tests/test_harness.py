@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from gridlines import harness
 from gridlines.errors import GridlinesError, InvalidParameter
 from gridlines.harness import (
     ExperimentConfig,
     SWEEP_COLUMNS,
+    _corrupt,
+    report_row,
     run_moments,
     run_support,
     run_sweep,
@@ -127,6 +130,25 @@ class TestSweep:
         with pytest.raises(GridlinesError) as err:
             run_sweep(cfg(primes=(5, 7), set_descriptor="interval:0:6", trials=1))
         assert "prime=5" in str(err.value)
+
+    def test_identity_violation_aborts_with_context(self, monkeypatch):
+        build = harness.incidence_histogram
+        monkeypatch.setattr(harness, "incidence_histogram",
+                            lambda A, strategy=None: _corrupt(build(A, strategy)))
+        with pytest.raises(GridlinesError) as err:
+            run_sweep(cfg(primes=(7,), trials=2))
+        message = str(err.value)
+        assert "moment identity violated" in message
+        assert "prime=7" in message and "trial=0" in message
+
+    def test_row_matches_report_row_of_moments(self):
+        listed = "list:0,2,3,7,11"
+        row = run_sweep(cfg(primes=(13,), set_descriptor=listed)).rows[0]
+        expected = report_row(run_moments(cfg(primes=(13,), set_descriptor=listed)), 0, 0.0)
+        # the sweep seeds each trial; a listed set does not use the seed
+        for column in SWEEP_COLUMNS:
+            if column != "seed":
+                assert getattr(row, column) == getattr(expected, column), column
 
     def test_csv_shape_and_footer(self):
         result = run_sweep(cfg(primes=(5,), set_descriptor="list:0,1", trials=2))

@@ -72,6 +72,20 @@ class TestTBrute:
         assert t_brute(A) == 36 + (p + 1) * 4
         assert q_brute(A) == 84 + (p + 1) * 4
 
+    def test_modulus_whose_determinants_overflow_int64(self):
+        p = 2**61 - 1
+        A = from_list(validate_prime(p), [0, 1, p - 1])
+        pts = [Point(x, y) for x in A.elements for y in A.elements]
+        triples = sum(collinear(u, v, w, p)
+                      for u, v, w in itertools.product(pts, repeat=3))
+        quadruples = sum(
+            collinear(u, v, w, p) and collinear(u, v, z, p)
+            and collinear(u, w, z, p) and collinear(v, w, z, p)
+            for u, v, w, z in itertools.product(pts, repeat=4))
+        # the all-equal tuples are counted p + 1 times, once per line
+        assert t_brute(A) == triples + p * len(pts)
+        assert q_brute(A) == quadruples + p * len(pts)
+
 
 class TestQBrute:
     def test_hand_case(self):

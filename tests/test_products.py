@@ -45,6 +45,21 @@ class TestProductRepTable:
                 brute[x] = brute.get(x, 0) + 1
         assert t1.table == brute
 
+    # 2**31 + 11 is the first prime on the Python-int path; at 2**61 - 1
+    # the products of differences overflow int64.
+    @pytest.mark.parametrize("p", [2**31 + 11, 2**61 - 1])
+    def test_big_modulus_matches_python_ints(self, p):
+        A = from_list(validate_prime(p), [0, 1, 5, p - 1, p - 2**20])
+        for a1, a3 in [(0, 1), (p - 1, 5), (p - 2**20, p - 1)]:
+            brute = {}
+            for a2 in A.elements:
+                for a4 in A.elements:
+                    x = (a1 - a2) * (a3 - a4) % p
+                    brute[x] = brute.get(x, 0) + 1
+            table = product_rep_table(A, a1, a3).table
+            assert table == brute
+            assert all(type(x) is int and type(c) is int for x, c in table.items())
+
 
 class TestSecondMoment:
     def test_hand_case(self):

@@ -141,6 +141,15 @@ class FieldSubset:
         return i < len(self.elements) and self.elements[i] == x
 
 
+def element_array(A: FieldSubset) -> np.ndarray:
+    """The elements of A as a numpy array for exact modular arithmetic.
+
+    The dtype is int64 for p < 2**31, where the product of two residues
+    fits, and object (Python integers) above, where it would overflow.
+    """
+    return np.array(A.elements, dtype=np.int64 if A.p < 1 << 31 else object)
+
+
 def _canonical(m: PrimeModulus, items: Iterable[int], provenance: str) -> FieldSubset:
     # FieldSubset rejects the duplicates that sorting makes adjacent.
     return FieldSubset(m, tuple(sorted(items)), provenance)

@@ -11,12 +11,16 @@ that are NOT all equal (each lies on exactly one common line) and add
 (p + 1) * n**2 for the all-equal family.
 
 Both oracles read one boolean collinearity tensor over the n**2 grid
-points, built with numpy from an element array whose dtype is int64 for
-p < 2**31 and object (Python integers) above, where the determinant
-products could overflow int64.
+points, built with numpy from `fieldsets.element_array`, whose dtype is
+int64 for p < 2**31 and object (Python integers) above, where the
+determinant products could overflow int64.
 
 Costs are Theta(n**6) for triples and Theta(n**8) for quadruples, hence
 the hard size caps; raise them only knowingly.
+
+algebraic_triple_count is not a tuple enumeration: it counts the
+ratio-equation 6-tuples through the product-support census kernel of
+`products`, about n**4 products sorted in blocks of 2**16.
 """
 
 from __future__ import annotations
@@ -27,16 +31,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CapExceeded
-from .fieldsets import FieldSubset, mod_inv
+from .fieldsets import FieldSubset, element_array
 from .incidence import incidence_histogram, moments
+from .products import _difference_table, _product_moments
 
 T_BRUTE_CAP = 8
 Q_BRUTE_CAP = 6
 ALGEBRAIC_CAP = 20
-
-# Below this modulus the determinant products fit in int64; above it the
-# same array code runs on Python integers (dtype object).
-_INT64_P_LIMIT = 1 << 31
 
 
 class Point(NamedTuple):
@@ -58,7 +59,7 @@ def collinear(u, v, w, p: int) -> bool:
 def _collinear_tensor(A: FieldSubset) -> np.ndarray:
     """Boolean tensor D[a, b, c] = collinearity of grid points a, b, c."""
     p = A.p
-    elems = np.array(A.elements, dtype=np.int64 if p < _INT64_P_LIMIT else object)
+    elems = element_array(A)
     xs, ys = np.repeat(elems, A.n), np.tile(elems, A.n)
     dx = (xs[None, :] - xs[:, None]) % p   # dx[a, b] = x_b - x_a
     dy = (ys[None, :] - ys[:, None]) % p
@@ -126,8 +127,11 @@ def algebraic_triple_count(
 
     with a3 != a4, a3 != a6 (the nonzero ratio forces a1 != a2, a1 != a5).
     Grouping by (a1, a3) and tabulating the ratio over (a2, a4) pairs
-    makes this Theta(n**4): the tuple count is the sum over ratios r of
-    (number of pairs hitting r) squared.
+    makes this about n**4 products: the tuple count is the sum over
+    ratios r of (number of pairs hitting r) squared, i.e. the sum of the
+    second moments that the census kernel `products._product_moments`
+    reads from the nonzero differences a1 - a2 against the inverses of
+    the nonzero differences a3 - a4.
 
     Also reports delta = s3 - 2*n**4 - count, the discrepancy against
     the engine's triple count after removing the two axis-parallel line
@@ -138,25 +142,13 @@ def algebraic_triple_count(
     n, p = A.n, A.p
     if n > cap:
         raise CapExceeded(f"algebraic_triple_count: n = {n} exceeds cap {cap}")
-    m = A.modulus
-    inv_cache: dict = {}
     count = 0
-    for a1 in A.elements:
-        for a3 in A.elements:
-            ratios: dict = {}
-            for a2 in A.elements:
-                if a2 == a1:
-                    continue
-                num = (a1 - a2) % p
-                for a4 in A.elements:
-                    if a4 == a3:
-                        continue
-                    den = (a3 - a4) % p
-                    d_inv = inv_cache.get(den)
-                    if d_inv is None:
-                        d_inv = inv_cache[den] = mod_inv(den, m)
-                    r = num * d_inv % p
-                    ratios[r] = ratios.get(r, 0) + 1
-            count += sum(c * c for c in ratios.values())
+    if n > 1:
+        nonzero = _difference_table(A)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+        inverses = np.array(
+            [[pow(d, -1, p) for d in row] for row in nonzero.tolist()], dtype=nonzero.dtype)
+        pairs = np.arange(n * n)
+        _, m2 = _product_moments(nonzero, inverses, pairs // n, pairs % n, p)
+        count = int(m2.sum())
     t = moments(incidence_histogram(A)).s3 if s3 is None else s3
     return AlgebraicTripleCount(count, t, t - 2 * n ** 4 - count)

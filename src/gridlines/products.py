@@ -14,27 +14,52 @@ quantifies.  The fitted exponent reported by the census is a plain
 least-action fit of mean_support = n**2 / (ln n)**gamma and carries no
 proven meaning; it is a diagnostic only.
 
-A table is one numpy pass over the n**2 pairs: an outer product of the
-differences and np.unique.  The element array is int64 for p < 2**31 and
-object (Python integers) above, where the products would overflow int64.
+The census runs on one batched kernel, `_product_moments`.  It takes the
+difference table D[a, b] = a - b mod p once and, for a block of base
+pairs, forms the outer products D[a1, :] x D[a3, :] mod p, sorts each
+pair's row of n**2 products, and reads the support size from the run
+starts and the second moment from the sum of squared run lengths.  A
+block holds about 2**16 products (one pair when n**2 is larger), so the
+transient arrays stay near 2 MB whatever the census size.
+`oracle.algebraic_triple_count` runs the same kernel on the nonzero
+differences and their inverses.  Arrays come from
+`fieldsets.element_array`: int64 for p < 2**31 and object (Python
+integers) above, where the products would overflow int64.
+
+A full census forms n**4 products and a sampled one sample * n**2;
+support_census refuses more than CENSUS_BUDGET before doing any work.
+Its rows are kept as columns, int64 support sizes and second moments
+plus the pair indices when sampled, and `SupportSummary.pairs` is a
+read-only sequence view over them that yields (a1, a3, support_size,
+second_moment) tuples of Python ints.
+
+`product_rep_table` builds one table on its own (np.unique over the
+n**2 products); it is the independent reference the census is tested
+against.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidParameter
-from .fieldsets import FieldSubset
+from .fieldsets import FieldSubset, element_array
 from .rng import SplitMix64
 
-# Below this modulus the difference products fit in int64; above it the
-# same array code runs on Python integers (dtype object).
-_INT64_P_LIMIT = 1 << 31
+# Products per kernel block: 2**16 int64 values are 512 KiB per array.
+_BLOCK_PRODUCTS = 1 << 16
+
+# Most products one census may form (n**4 in full, sample * n**2
+# sampled): a full census up to n = 128, about 4 s of kernel time at the
+# 60 million products per second measured on one core of a 2-core
+# x86-64 host.
+CENSUS_BUDGET = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -57,7 +82,7 @@ class ProductRepTable:
 def product_rep_table(A: FieldSubset, a1: int, a3: int) -> ProductRepTable:
     """Exact table by enumerating all n**2 pairs (a2, a4)."""
     p = A.p
-    elems = np.array(A.elements, dtype=np.int64 if p < _INT64_P_LIMIT else object)
+    elems = element_array(A)
     d1 = (a1 - elems) % p
     d3 = (a3 - elems) % p
     prods = d1[:, None] * d3[None, :] % p
@@ -71,28 +96,109 @@ def second_moment(t: ProductRepTable) -> int:
     return sum(c * c for c in t.table.values())
 
 
+def _difference_table(A: FieldSubset) -> np.ndarray:
+    """D[a, b] = a - b mod p over the elements of A, shape (n, n)."""
+    elems = element_array(A)
+    return (elems[:, None] - elems[None, :]) % A.p
+
+
+def _product_moments(
+    left: np.ndarray, right: np.ndarray, rows1: np.ndarray, rows3: np.ndarray, p: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Support size and second moment of each pair's product table.
+
+    Pair j tabulates left[rows1[j], i] * right[rows3[j], k] mod p over
+    every (i, k); both tables need at least one column.  Returns two
+    int64 arrays indexed like rows1.
+    """
+    width = left.shape[1] * right.shape[1]
+    supports = np.empty(len(rows1), dtype=np.int64)
+    moments = np.empty(len(rows1), dtype=np.int64)
+    block = max(1, _BLOCK_PRODUCTS // width)
+    for start in range(0, len(rows1), block):
+        stop = min(start + block, len(rows1))
+        lhs = left[rows1[start:stop], :, None]
+        rhs = right[rows3[start:stop], None, :]
+        prods = (lhs * rhs % p).reshape(stop - start, width)
+        prods.sort(axis=1)
+        run_start = np.ones(prods.shape, dtype=bool)
+        np.not_equal(prods[:, 1:], prods[:, :-1], out=run_start[:, 1:])
+        runs = run_start.sum(axis=1)
+        lengths = np.diff(np.flatnonzero(run_start), append=run_start.size)
+        supports[start:stop] = runs
+        moments[start:stop] = np.add.reduceat(lengths * lengths, np.cumsum(runs) - runs)
+    return supports, moments
+
+
+class _CensusRows(Sequence):
+    """Read-only census rows (a1, a3, support_size, second_moment).
+
+    Stored as columns: pair k is (elements[k // n], elements[k % n]),
+    for k = 0 .. n**2 - 1 in order, or k = index[i] when sampled.
+    Slicing returns a list, and the view equals an equal list.
+    """
+
+    __slots__ = ("_elements", "supports", "moments", "_index")
+
+    def __init__(self, elements: tuple, supports: np.ndarray, moments: np.ndarray,
+                 index: Optional[np.ndarray]):
+        for column in (supports, moments, index):
+            if column is not None:
+                column.setflags(write=False)
+        self._elements = elements
+        self.supports = supports
+        self.moments = moments
+        self._index = index
+
+    def __len__(self) -> int:
+        return len(self.supports)
+
+    def __iter__(self):
+        elements, n = self._elements, len(self._elements)
+        index = range(len(self)) if self._index is None else self._index.tolist()
+        for k, support, m2 in zip(index, self.supports.tolist(), self.moments.tolist()):
+            yield elements[k // n], elements[k % n], support, m2
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        k = i if self._index is None else int(self._index[i])
+        n = len(self._elements)
+        return (self._elements[k // n], self._elements[k % n],
+                int(self.supports[i]), int(self.moments[i]))
+
+    def __eq__(self, other):
+        if isinstance(other, (_CensusRows, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass(frozen=True)
 class SupportSummary:
     """Census of support sizes over base pairs (a1, a3) in A x A."""
 
     n: int
     p: int
-    pairs: List[Tuple[int, int, int, int]]  # (a1, a3, support_size, second_moment)
+    pairs: _CensusRows  # rows (a1, a3, support_size, second_moment)
     sampled: bool
     cs_lower_bound: Fraction  # sum of n**4 / support, scaled to the full census
     fitted_log_exponent: Optional[float] = field(default=None)
 
     @property
     def min_support(self) -> int:
-        return min(row[2] for row in self.pairs)
+        return int(self.pairs.supports.min())
 
     @property
     def max_support(self) -> int:
-        return max(row[2] for row in self.pairs)
+        return int(self.pairs.supports.max())
 
     @property
     def mean_support(self) -> Fraction:
-        return Fraction(sum(row[2] for row in self.pairs), len(self.pairs))
+        return Fraction(int(self.pairs.supports.sum()), len(self.pairs))
 
 
 def _fit_log_exponent(n: int, mean_support: Fraction) -> Optional[float]:
@@ -113,7 +219,8 @@ def support_census(
     """Support sizes for all base pairs, or a seeded uniform sample.
 
     With sampling, cs_lower_bound is the sampled sum scaled by
-    n**2 / sample so it estimates the full-census bound.
+    n**2 / sample so it estimates the full-census bound.  A census of
+    more than CENSUS_BUDGET products is refused.
     """
     n, p = A.n, A.p
     if n == 0:
@@ -124,34 +231,37 @@ def support_census(
             raise InvalidParameter(f"sample must be in [1, {total_pairs}]")
         if sample < total_pairs and seed is None:
             raise InvalidParameter("sampled census needs a seed")
-    pair_indices: List[int]
-    if sample is None or sample == total_pairs:
-        pair_indices = list(range(total_pairs))
-        sampled = False
+    census_pairs = total_pairs if sample is None else sample
+    if census_pairs * total_pairs > CENSUS_BUDGET:
+        raise InvalidParameter(
+            f"a census of {census_pairs} base pairs at n = {n} forms "
+            f"{census_pairs * total_pairs} products, over the budget of "
+            f"{CENSUS_BUDGET}; census at most {CENSUS_BUDGET // total_pairs} "
+            f"pairs with --sample")
+    if census_pairs == total_pairs:
+        pair_indices = np.arange(total_pairs)
+        index = None
     else:
         rng = SplitMix64(seed)
         chosen = set()
         while len(chosen) < sample:
             chosen.add(rng.below(total_pairs))
-        pair_indices = sorted(chosen)
-        sampled = True
-    rows = []
-    bound = Fraction(0)
+        pair_indices = index = np.array(sorted(chosen), dtype=np.int64)
+    diffs = _difference_table(A)
+    supports, moments = _product_moments(diffs, diffs, pair_indices // n, pair_indices % n, p)
+    rows = _CensusRows(A.elements, supports, moments, index)
     n4 = n ** 4
-    for idx in pair_indices:
-        a1 = A.elements[idx // n]
-        a3 = A.elements[idx % n]
-        t = product_rep_table(A, a1, a3)
-        rows.append((a1, a3, t.support_size, second_moment(t)))
-        bound += Fraction(n4, t.support_size)
-    if sampled:
-        bound *= Fraction(total_pairs, len(pair_indices))
-    mean = Fraction(sum(r[2] for r in rows), len(rows))
+    values, counts = np.unique(supports, return_counts=True)
+    bound = sum(
+        (Fraction(n4 * c, s) for s, c in zip(values.tolist(), counts.tolist())), Fraction(0))
+    if index is not None:
+        bound *= Fraction(total_pairs, census_pairs)
+    mean = Fraction(int(supports.sum()), census_pairs)
     return SupportSummary(
         n=n,
         p=p,
         pairs=rows,
-        sampled=sampled,
+        sampled=index is not None,
         cs_lower_bound=bound,
         fitted_log_exponent=_fit_log_exponent(n, mean),
     )

@@ -118,7 +118,61 @@ class TestSweep:
         assert code == EXIT_USAGE and "not prime" in err
 
 
+# Census rows (a1, a3, support_size, second_moment) of list:1,2,4 at
+# p = 11, and of four sampled base pairs of interval:1:10 at p = 101.
+LISTED_ROWS = [
+    (1, 1, 4, 31), (1, 2, 5, 29), (1, 4, 5, 29),
+    (2, 1, 5, 29), (2, 2, 4, 31), (2, 4, 5, 29),
+    (4, 1, 5, 29), (4, 2, 5, 29), (4, 4, 4, 31),
+]
+SAMPLED_ROWS = [(3, 10, 48, 530), (5, 8, 42, 582), (6, 4, 33, 628), (7, 2, 45, 550)]
+CENSUS_SUPPORT = ["support", "--prime", "11", "--set", "list:1,2,4"]
+SAMPLED_SUPPORT = ["support", "--prime", "101", "--set", "interval:1:10",
+                   "--sample", "4", "--seed", "3"]
+
+
+def census_csv(rows):
+    lines = ["a1,a3,support_size,second_moment"] + [",".join(map(str, r)) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def census_json(n, p, sampled, rows, summary):
+    pairs = [dict(zip(("a1", "a3", "support_size", "second_moment"), r)) for r in rows]
+    head = {"schema_version": 1, "n": n, "p": p, "sampled": sampled, "pairs": pairs}
+    return json.dumps(dict(head, **summary), indent=2) + "\n"
+
+
 class TestSupport:
+    def test_full_csv_output(self, capsys):
+        code, out, _ = run_cli(capsys, *CENSUS_SUPPORT, "--format", "csv")
+        assert code == EXIT_OK
+        assert out == census_csv(LISTED_ROWS)
+
+    def test_full_json_output(self, capsys):
+        code, out, _ = run_cli(capsys, *CENSUS_SUPPORT)
+        assert code == EXIT_OK
+        assert out == census_json(3, 11, False, LISTED_ROWS, {
+            "min_support": 4, "mean_support": "4.66666666667", "max_support": 5,
+            "cs_lower_bound": "157.95", "fitted_log_exponent": 6.983463127567796})
+
+    def test_sampled_csv_output(self, capsys):
+        code, out, _ = run_cli(capsys, *SAMPLED_SUPPORT, "--format", "csv")
+        assert code == EXIT_OK
+        assert out == census_csv(SAMPLED_ROWS)
+
+    def test_sampled_json_output(self, capsys):
+        code, out, _ = run_cli(capsys, *SAMPLED_SUPPORT)
+        assert code == EXIT_OK
+        assert out == census_json(10, 101, True, SAMPLED_ROWS, {
+            "min_support": 33, "mean_support": "42", "max_support": 48,
+            "cs_lower_bound": "24292.0274170", "fitted_log_exponent": 1.0401280821237322})
+
+    def test_census_over_budget_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "support", "--prime", "10007", "--set", "interval:1:2000")
+        assert code == EXIT_USAGE and out == ""
+        assert "budget" in err and "--sample" in err
+
     def test_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "support", "--prime", "5", "--set", "list:0,1",

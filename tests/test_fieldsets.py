@@ -19,6 +19,7 @@ from gridlines.errors import (
 from gridlines.fieldsets import (
     FieldSubset,
     PrimeModulus,
+    element_array,
     from_list,
     gen_ap,
     gen_bernoulli,
@@ -100,6 +101,18 @@ class TestCanonicalForm:
     def test_contains(self):
         A = from_list(validate_prime(7), [1, 4])
         assert 4 in A and 2 not in A
+
+
+class TestElementArray:
+    # 2**31 - 1 is the largest prime whose residue products fit in int64.
+    @pytest.mark.parametrize("p, dtype", [(101, np.int64), (2**31 - 1, np.int64),
+                                          (2**31 + 11, object), (2**61 - 1, object)])
+    def test_dtype_switch(self, p, dtype):
+        A = from_list(validate_prime(p), [0, 1, p - 1])
+        elems = element_array(A)
+        assert elems.dtype == dtype
+        assert elems.tolist() == [0, 1, p - 1]
+        assert [int(x) for x in elems * elems % p] == [0, 1, 1]
 
 
 class TestBernoulli:

@@ -164,6 +164,12 @@ class TestAlgebraicTripleCount:
         dilated = from_list(A.modulus, [c * a % p for a in A.elements])
         assert algebraic_triple_count(A).count == algebraic_triple_count(dilated).count
 
+    @pytest.mark.parametrize("p", [13, 2**61 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_small_sets_against_direct_enumeration(self, p, n):
+        A = gen_uniform(validate_prime(p), n, seed=100 + n)
+        assert algebraic_triple_count(A, s3=0).count == _ratio_equation_reference(A)
+
     def test_cap(self):
         A = gen_uniform(validate_prime(31), 21, seed=3)
         with pytest.raises(CapExceeded):

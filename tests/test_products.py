@@ -1,12 +1,22 @@
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlines.errors import InvalidParameter
-from gridlines.fieldsets import from_list, gen_full_field, gen_interval, gen_uniform, validate_prime
-from gridlines.products import product_rep_table, second_moment, support_census
+from gridlines import products
+from gridlines.fieldsets import (
+    from_list,
+    gen_full_field,
+    gen_gp,
+    gen_interval,
+    gen_uniform,
+    validate_prime,
+)
+from gridlines.products import CENSUS_BUDGET, product_rep_table, second_moment, support_census
 from gridlines.rng import SplitMix64
 
 P5 = validate_prime(5)
@@ -176,3 +186,131 @@ class TestSupportCensus:
         assert summary.fitted_log_exponent > 0  # support genuinely below n^2
         tiny = support_census(from_list(P5, [0, 1]))
         assert tiny.fitted_log_exponent is None  # n < 3: fit undefined
+
+
+def per_pair_rows(A, pairs):
+    """Census rows from one independent product_rep_table per base pair."""
+    rows = []
+    for a1, a3 in pairs:
+        t = product_rep_table(A, a1, a3)
+        rows.append((a1, a3, t.support_size, second_moment(t)))
+    return rows
+
+
+def assert_census_matches_tables(A, summary):
+    pairs = [(a1, a3) for a1, a3, _, _ in summary.pairs]
+    if not summary.sampled:
+        assert pairs == [(a1, a3) for a1 in A.elements for a3 in A.elements]
+    rows = per_pair_rows(A, pairs)
+    assert summary.pairs == rows
+    n4 = A.n ** 4
+    bound = sum((Fraction(n4, row[2]) for row in rows), Fraction(0))
+    if summary.sampled:
+        bound *= Fraction(A.n ** 2, len(rows))
+    assert summary.cs_lower_bound == bound
+
+
+class TestCensusKernel:
+    @pytest.mark.parametrize("A", [
+        gen_uniform(validate_prime(3607), 30, seed=11),
+        gen_uniform(validate_prime(101), 17, seed=2),
+        gen_interval(validate_prime(1009), 5, 21),
+        gen_gp(validate_prime(3607), 2, 3, 25),
+        gen_full_field(validate_prime(13)),
+    ], ids=["uniform30", "uniform17", "interval", "gp", "full-field"])
+    def test_full_census_matches_per_pair_tables(self, A):
+        assert_census_matches_tables(A, support_census(A))
+
+    def test_sampled_census_matches_per_pair_tables(self):
+        A = gen_uniform(validate_prime(1009), 25, seed=6)
+        summary = support_census(A, sample=97, seed=13)
+        assert summary.sampled and len(summary.pairs) == 97
+        assert_census_matches_tables(A, summary)
+
+    @pytest.mark.parametrize("block", [1, 2 * 49, 5 * 49 - 1])
+    def test_block_sizes(self, monkeypatch, block):
+        # 49 products per pair of a 7-set: blocks of 1, 2 and 4 pairs over
+        # its 49 base pairs, the last two sizes ending in a short block.
+        monkeypatch.setattr(products, "_BLOCK_PRODUCTS", block)
+        A = gen_uniform(validate_prime(101), 7, seed=4)
+        assert_census_matches_tables(A, support_census(A))
+
+    def test_one_pair_per_block_when_n_squared_exceeds_block(self):
+        A = gen_uniform(validate_prime(100003), 257, seed=9)
+        assert A.n ** 2 > products._BLOCK_PRODUCTS
+        assert_census_matches_tables(A, support_census(A, sample=3, seed=1))
+
+    def test_object_path_at_mersenne_61(self):
+        p = 2**61 - 1
+        A = from_list(validate_prime(p), [0, 1, 5, 2**40 + 3, p - 2**20, p - 1])
+        summary = support_census(A)
+        assert summary.pairs.supports.dtype == np.int64
+        assert_census_matches_tables(A, summary)
+        sampled = support_census(A, sample=7, seed=2)
+        assert_census_matches_tables(A, sampled)
+
+
+class TestCensusRows:
+    A = gen_uniform(validate_prime(101), 4, seed=7)
+
+    def test_sequence_protocol(self):
+        rows = support_census(self.A).pairs
+        expected = per_pair_rows(self.A, [(a, b) for a in self.A.elements for b in self.A.elements])
+        assert len(rows) == 16
+        assert rows[0] == expected[0] and rows[-1] == expected[-1] and rows[-16] == expected[0]
+        with pytest.raises(IndexError):
+            rows[16]
+        with pytest.raises(IndexError):
+            rows[-17]
+        assert rows[1:5] == expected[1:5] and type(rows[1:5]) is list
+        assert rows[::-3] == expected[::-3]
+        assert rows == expected and rows != expected[:-1] and rows != tuple(expected)
+        assert list(rows) == expected and list(reversed(rows)) == expected[::-1]
+        assert expected[3] in rows and rows.index(expected[3]) == 3
+
+    def test_rows_hold_python_ints(self):
+        for rows in (support_census(self.A).pairs, support_census(self.A, sample=5, seed=3).pairs):
+            for row in list(rows) + [rows[0], rows[-1]]:
+                assert all(type(x) is int for x in row)
+
+    def test_columns_are_read_only(self):
+        rows = support_census(self.A, sample=5, seed=3).pairs
+        with pytest.raises(ValueError):
+            rows.supports[0] = 0
+        with pytest.raises(ValueError):
+            rows.moments[0] = 0
+
+    def test_summary_statistics_reduce_the_columns(self):
+        summary = support_census(gen_interval(validate_prime(1009), 3, 12))
+        supports = [row[2] for row in summary.pairs]
+        assert summary.min_support == min(supports)
+        assert summary.max_support == max(supports)
+        assert summary.mean_support == Fraction(sum(supports), len(supports))
+        assert all(type(x) is int for x in (summary.min_support, summary.max_support))
+
+
+class TestCensusBudget:
+    def test_full_census_over_budget_fails_without_allocating(self, monkeypatch):
+        A = gen_interval(validate_prime(10007), 1, 2000)
+        assert A.n ** 4 > CENSUS_BUDGET
+
+        def no_work(_):
+            raise AssertionError("the census started work before its budget check")
+
+        monkeypatch.setattr(products, "_difference_table", no_work)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameter, match="--sample"):
+                support_census(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_sample_counts_against_the_budget(self):
+        A = gen_interval(validate_prime(10007), 1, 2000)
+        most = CENSUS_BUDGET // A.n ** 2
+        with pytest.raises(InvalidParameter, match="--sample"):
+            support_census(A, sample=most + 1, seed=1)
+        small = support_census(A, sample=2, seed=1)
+        assert len(small.pairs) == 2 and small.sampled

@@ -77,7 +77,6 @@ from .incidence import (
     default_strategy,
     incidence_count,
     incidence_histogram,
-    merge_counts,
     moments,
     slope_profile,
 )

@@ -126,11 +126,16 @@ def lm_count(h: IncidenceHistogram, m: RationalLike) -> int:
     return sum(c for k, c in h.counts.items() if m < k <= 2 * m)
 
 
-def _dyadic_levels(n: int) -> range:
-    """Levels j with 2**j = M; classes (M, 2M] can touch [2, n] while M < n."""
-    if n < 2:
-        return range(0)
-    return range(0, (n - 1).bit_length())
+def _dyadic_table(h: IncidenceHistogram) -> List[List[int]]:
+    """Rows [lm_count, incidences] of the classes (2**j, 2**(j+1)], j < n.bit_length(),
+    in one pass; a value above the last class (a corrupted histogram) is in none."""
+    rows = [[0, 0] for _ in range(h.n.bit_length())]
+    for k, c in h.counts.items():
+        j = (k - 1).bit_length() - 1
+        if k >= 2 and j < len(rows):
+            rows[j][0] += c
+            rows[j][1] += k * c
+    return rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,21 +150,18 @@ class ClassBoundCheck:
         return self.max_ratio <= 1
 
 
-def class_bound_check(h: IncidenceHistogram) -> ClassBoundCheck:
+def class_bound_check(h: IncidenceHistogram, table: Optional[list] = None) -> ClassBoundCheck:
+    """Every class of the dyadic table with M >= 2 n**2 / p; higher classes are empty."""
     p, n = h.p, h.n
-    if n == 0:
-        return ClassBoundCheck(Fraction(0), 0)
+    table = _dyadic_table(h) if table is None else table
     max_ratio = Fraction(0)
     checked = 0
-    # levels through M = 2**ceil(log2 n); higher classes are empty anyway
-    for j in range(n.bit_length()):
+    for j, (lm, _) in enumerate(table):
         m = 1 << j
         if m * p < 2 * n * n:  # hypothesis M >= 2 n**2 / p, exact form
             continue
         checked += 1
-        ratio = Fraction(lm_count(h, m) * m * m, 4 * p * n * n)
-        if ratio > max_ratio:
-            max_ratio = ratio
+        max_ratio = max(max_ratio, Fraction(lm * m * m, 4 * p * n * n))
     return ClassBoundCheck(max_ratio, checked)
 
 
@@ -257,7 +259,9 @@ class RatioDiagnostics:
     dyadic: List[DyadicRow] = field(default_factory=list)
 
 
-def ratio_diagnostics(h: IncidenceHistogram, ms: Optional[MomentSet] = None) -> RatioDiagnostics:
+def ratio_diagnostics(
+    h: IncidenceHistogram, ms: Optional[MomentSet] = None, table: Optional[list] = None
+) -> RatioDiagnostics:
     ms = ms or moments(h)
     p, n = h.p, h.n
     if n == 0:
@@ -265,12 +269,12 @@ def ratio_diagnostics(h: IncidenceHistogram, ms: Optional[MomentSet] = None) -> 
     t_den = Fraction(n ** 6, p) + root_fraction(p * n ** 7)
     log_term = Fraction(math.log(n)) if math.log(n) > 1 else Fraction(1)
     q_den = Fraction(n ** 8, p * p) + log_term * n ** 5
-    rows = []
-    for j in _dyadic_levels(n):
-        m = 1 << j
-        lm = lm_count(h, m)
-        incid = sum(k * c for k, c in h.counts.items() if m < k <= 2 * m)
-        rows.append(DyadicRow(level=j, m=m, lm_count=lm, incidences=incid, p=p, n=n))
+    table = _dyadic_table(h) if table is None else table
+    # one row per class (M, 2M] that can hold a value in [2, n] with M < n
+    rows = [
+        DyadicRow(level=j, m=1 << j, lm_count=lm, incidences=incid, p=p, n=n)
+        for j, (lm, incid) in enumerate(table[: (n - 1).bit_length()])
+    ]
     return RatioDiagnostics(
         t_ratio=ms.s3 / t_den,
         q_ratio=ms.s4 / q_den,
@@ -440,22 +444,22 @@ def verify_histogram(
     h: IncidenceHistogram,
     descriptor: str = "",
     seed: Optional[int] = None,
-    strategy: str = "",
 ) -> VerificationReport:
     """Run every check that needs only the histogram itself."""
     ms = moments(h)
+    table = _dyadic_table(h)
     return VerificationReport(
         p=h.p,
         n=h.n,
         descriptor=descriptor,
         seed=seed,
-        strategy=strategy,
+        strategy=h.strategy,
         moment_set=ms,
         identities=[first_moment_check(h, ms), second_moment_check(h, ms)],
         expected_t=expected_t(h.p, h.n),
         expected_q=expected_q(h.p, h.n),
         proposition=proposition_check(h, ms),
-        class_bound=class_bound_check(h),
+        class_bound=class_bound_check(h, table),
         regimes={3: regime_decomposition(h, 3), 4: regime_decomposition(h, 4)},
-        ratios=ratio_diagnostics(h, ms),
+        ratios=ratio_diagnostics(h, ms, table),
     )

@@ -32,12 +32,7 @@ from . import oracle
 from .bounds import VerificationReport, render_fraction, root_fraction, verify_histogram
 from .errors import GridlinesError, InvalidParameter
 from .fieldsets import FieldSubset, SetSpec, parse_set_descriptor, validate_prime
-from .incidence import (
-    IncidenceHistogram,
-    default_strategy,
-    incidence_histogram,
-    moments,
-)
+from .incidence import IncidenceHistogram, incidence_histogram, moments
 from .products import support_census
 from .rng import trial_seed
 
@@ -84,11 +79,10 @@ def _single_prime(cfg: ExperimentConfig, command: str) -> Tuple[FieldSubset, int
 def run_moments(cfg: ExperimentConfig) -> VerificationReport:
     """Histogram + moments + full verifier output for a single (p, A)."""
     subset, used_seed = _single_prime(cfg, "moments")
-    strategy = cfg.strategy or default_strategy(subset.p, subset.n)
     t0 = time.perf_counter()
-    hist = incidence_histogram(subset, strategy)
+    hist = incidence_histogram(subset, cfg.strategy)
     build_ms = (time.perf_counter() - t0) * 1000.0
-    report = verify_histogram(hist, subset.provenance, used_seed, strategy)
+    report = verify_histogram(hist, subset.provenance, used_seed)
     if cfg.timings:
         report.timings_ms = {"histogram": round(build_ms, 3)}
     return report
@@ -98,7 +92,7 @@ def _corrupt(hist: IncidenceHistogram) -> IncidenceHistogram:
     # Test-only negative control: shift one line from its true bin.
     counts = dict(hist.counts)
     counts[1] = counts.get(1, 0) + 1
-    return IncidenceHistogram(hist.p, hist.n, counts)
+    return replace(hist, counts=counts)
 
 
 def run_verify(cfg: ExperimentConfig) -> VerificationReport:
@@ -110,25 +104,24 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
     """
     subset, used_seed = _single_prime(cfg, "verify")
     p, n = subset.p, subset.n
-    strategy = cfg.strategy or default_strategy(p, n)
     t0 = time.perf_counter()
-    hist = incidence_histogram(subset, strategy)
+    hist = incidence_histogram(subset, cfg.strategy)
     build_ms = (time.perf_counter() - t0) * 1000.0
     s3 = moments(hist).s3  # taken before any injected fault
     if cfg.inject_fault:
         hist = _corrupt(hist)
 
-    variants = {"slope_direct", "slope_fast", strategy}
+    variants = {"slope_direct", "slope_fast", hist.strategy}
     if p * p * max(n, 1) <= NAIVE_BUDGET:
         variants.add("naive")
     equivalent = True
     for variant in sorted(variants):
-        if variant == strategy:
+        if variant == hist.strategy:
             continue
         other = incidence_histogram(subset, variant)
         if other.counts != hist.counts:
             equivalent = False
-    report = verify_histogram(hist, subset.provenance, used_seed, strategy)
+    report = verify_histogram(hist, subset.provenance, used_seed)
     report.strategy_equivalence = equivalent
     if n <= cfg.t_cap:
         report.oracle_t = oracle.t_brute(subset, cfg.t_cap)
@@ -202,9 +195,8 @@ def _sweep_trial(args: tuple) -> SweepRow:
     spec = replace(parse_set_descriptor(descriptor), seed=None)
     subset = spec.realize(validate_prime(prime), seed)
     t0 = time.perf_counter()
-    strategy = strategy or default_strategy(subset.p, subset.n)
     hist = incidence_histogram(subset, strategy)
-    report = verify_histogram(hist, subset.provenance, seed, strategy)
+    report = verify_histogram(hist, subset.provenance, seed)
     wall = (time.perf_counter() - t0) * 1000.0
     if not all(check.passed for check in report.identities):
         raise GridlinesError(

@@ -34,6 +34,10 @@ results merge by plain addition of sparse counts, so slopes may be
 processed in any order or concurrently.  naive uses no symmetry and
 stays the independent reference.
 
+Only incidence_histogram decides the strategy: given none, it applies
+default_strategy and logs the choice (the CLI's --verbose).  Each
+histogram records the strategy that built it.
+
 slope_fast packs k slopes into one convolution as base-(n + 1) digits:
 a profile entry never exceeds n, so the k profiles come back as the
 digits of one exact integer below (n + 1)**k <= ntt.NTT_PRIME, with no
@@ -43,9 +47,8 @@ for 211 <= n <= 1261.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterator, Optional, Tuple, Union
 
@@ -117,29 +120,21 @@ def incidence_count(A: FieldSubset, line: Line) -> int:
     return sum(1 for x in A.elements if (m * x + b) % p in members)
 
 
-def slope_profile(A: FieldSubset, m: int, strategy: str = "direct") -> np.ndarray:
+def slope_profile(A: FieldSubset, m: int) -> np.ndarray:
     """Incidence counts of all p lines with slope m, indexed by intercept.
 
     Entry b is i(Sloped(m, b)); equivalently the number of pairs
-    (x, y) in A x A with y - m*x = b mod p.  Both strategies are exact
-    and agree entrywise.
+    (x, y) in A x A with y - m*x = b mod p.
     """
     p = A.p
     _check_coeff(m, p, "slope")
     if p > ENGINE_MAX_P:
         raise InvalidParameter(f"slope_profile supports p <= {ENGINE_MAX_P}")
+    if A.n == 0:
+        return np.zeros(p, dtype=np.int64)
     elems = np.asarray(A.elements, dtype=np.int64)
-    if strategy == "direct":
-        if A.n == 0:
-            return np.zeros(p, dtype=np.int64)
-        slots = (elems[:, None] - (m * elems)[None, :] % p) % p
-        return np.bincount(slots.ravel(), minlength=p)
-    if strategy == "fast_convolution":
-        f = np.zeros(p, dtype=np.int64)
-        f[elems] = 1
-        g = np.bincount((-(m * elems)) % p, minlength=p).astype(np.int64)
-        return ntt.cyclic_convolve(f, g, p)
-    raise InvalidParameter(f"unknown slope_profile strategy {strategy!r}")
+    slots = (elems[:, None] - (m * elems)[None, :] % p) % p
+    return np.bincount(slots.ravel(), minlength=p)
 
 
 @dataclass(frozen=True)
@@ -149,6 +144,7 @@ class IncidenceHistogram:
     p: int
     n: int
     counts: Dict[int, int]
+    strategy: str = field(default="", compare=False)  # the builder's; "" by hand
 
     @property
     def zero_lines(self) -> int:
@@ -157,35 +153,6 @@ class IncidenceHistogram:
     @property
     def max_incidence(self) -> int:
         return max(self.counts) if self.counts else 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "counts": {str(k): self.counts[k] for k in sorted(self.counts)},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "IncidenceHistogram":
-        counts = {int(k): int(v) for k, v in data["counts"].items()}
-        return cls(int(data["p"]), int(data["n"]), counts)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    def to_csv(self) -> str:
-        lines = ["k,lines"]
-        lines.extend(f"{k},{self.counts[k]}" for k in sorted(self.counts))
-        return "\n".join(lines) + "\n"
-
-
-def merge_counts(*parts: Dict[int, int]) -> Dict[int, int]:
-    """Add sparse count maps; associative and commutative."""
-    out: Dict[int, int] = {}
-    for part in parts:
-        for k, v in part.items():
-            out[k] = out.get(k, 0) + v
-    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,9 +226,9 @@ def incidence_histogram(A: FieldSubset, strategy: Optional[str] = None) -> Incid
     if strategy != "naive" and p > ENGINE_MAX_P:
         raise InvalidParameter(f"slope strategies support p <= {ENGINE_MAX_P}")
     if n == 0:
-        return IncidenceHistogram(p, 0, {})
+        return IncidenceHistogram(p, 0, {}, strategy)
     if strategy == "naive":
-        return IncidenceHistogram(p, n, _tally_naive(A))
+        return IncidenceHistogram(p, n, _tally_naive(A), strategy)
 
     # counts-of-counts accumulator over k = 0..n; index 0 is discarded.
     acc = np.zeros(n + 1, dtype=np.int64)
@@ -273,7 +240,7 @@ def incidence_histogram(A: FieldSubset, strategy: Optional[str] = None) -> Incid
     # Slope 0 and the vertical family: n lines each meet a full row or
     # column, the other p - n miss the grid.
     counts[n] = counts.get(n, 0) + 2 * n
-    return IncidenceHistogram(p, n, counts)
+    return IncidenceHistogram(p, n, counts, strategy)
 
 
 def _tally_naive(A: FieldSubset) -> Dict[int, int]:

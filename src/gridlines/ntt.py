@@ -126,16 +126,7 @@ def cyclic_convolve(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
     """
     if len(f) != p or len(g) != p:
         raise ValueError("inputs must have length p")
-    length = conv_length(p)
-    fa = np.zeros(length, dtype=np.int64)
-    ga = np.zeros(length, dtype=np.int64)
-    fa[:p] = f
-    ga[:p] = g
-    fw = ntt(fa)
-    lin = intt(fw * ntt(ga) % NTT_PRIME)
-    out = lin[:p].copy()
-    out[: p - 1] += lin[p: 2 * p - 1]
-    return out
+    return convolve_with_transform(forward_padded(f, p), g, p)
 
 
 def forward_padded(f: np.ndarray, p: int) -> np.ndarray:

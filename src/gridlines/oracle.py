@@ -113,10 +113,6 @@ class AlgebraicTripleCount:
     t_moment: int
     delta: int  # t_moment - 2*n**4 - count
 
-    def delta_ratio(self, n: int) -> float:
-        """|delta| / n**4, the measured reconciliation constant."""
-        return abs(self.delta) / float(n ** 4) if n else 0.0
-
 
 def algebraic_triple_count(
     A: FieldSubset, cap: int = ALGEBRAIC_CAP, s3: Optional[int] = None

@@ -188,17 +188,19 @@ class SupportSummary:
     cs_lower_bound: Fraction  # sum of n**4 / support, scaled to the full census
     fitted_log_exponent: Optional[float] = field(default=None)
 
+    # Support sizes are read through the row protocol, so a summary whose
+    # pairs were replaced by a plain list of rows reports the same.
     @property
     def min_support(self) -> int:
-        return int(self.pairs.supports.min())
+        return min(row[2] for row in self.pairs)
 
     @property
     def max_support(self) -> int:
-        return int(self.pairs.supports.max())
+        return max(row[2] for row in self.pairs)
 
     @property
     def mean_support(self) -> Fraction:
-        return Fraction(int(self.pairs.supports.sum()), len(self.pairs))
+        return Fraction(sum(row[2] for row in self.pairs), len(self.pairs))
 
 
 def _fit_log_exponent(n: int, mean_support: Fraction) -> Optional[float]:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlines.bounds import (
+    _dyadic_table,
     class_bound_check,
     expected_q,
     expected_t,
@@ -19,7 +20,7 @@ from gridlines.bounds import (
     verify_histogram,
 )
 from gridlines.fieldsets import from_list, gen_full_field, gen_uniform, validate_prime
-from gridlines.incidence import incidence_histogram, moments
+from gridlines.incidence import IncidenceHistogram, incidence_histogram, moments
 from gridlines.rng import SplitMix64
 
 P5 = validate_prime(5)
@@ -208,6 +209,18 @@ class TestRatios:
         assert row.lm_bound_ratio == Fraction(6, 32)
         assert row.three_quarter_applicable  # 2 * 6 <= 25
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 40), st.dictionaries(st.integers(1, 130), st.integers(1, 10**6)))
+    def test_table_rows_match_lm_count_at_every_level(self, n, counts):
+        # Counts above n (only a corrupted histogram has them) included.
+        h = IncidenceHistogram(101, n, counts)
+        table = _dyadic_table(h)
+        assert len(table) == n.bit_length()
+        for j, (lm, incidences) in enumerate(table):
+            m = 1 << j
+            assert lm == lm_count(h, m)
+            assert incidences == sum(k * c for k, c in counts.items() if m < k <= 2 * m)
+
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(SMALL_PRIMES), st.integers(0, 2**32 - 1))
     def test_dyadic_classes_partition_heavy_lines(self, p, seed):
@@ -234,28 +247,43 @@ def test_triple_ratio_bounded_across_scaling_sweep():
 
 class TestVerifyHistogram:
     def test_hand_case_overall_pass(self):
-        rep = verify_histogram(UNIT_SQUARE_HIST, "list:0,1", None, "slope_direct")
+        rep = verify_histogram(UNIT_SQUARE_HIST, "list:0,1")
+        assert rep.strategy == "slope_direct"  # read from the histogram
         assert rep.overall_pass
         assert rep.moment_set.s3 == 60
         assert [c.passed for c in rep.identities] == [True, True]
 
     def test_identity_checks_catch_corruption(self):
-        from gridlines.incidence import IncidenceHistogram
-
         bad = IncidenceHistogram(5, 2, {2: 6, 1: 13})
         rep = verify_histogram(bad)
         assert not first_moment_check(bad, moments(bad)).passed
         assert not rep.overall_pass
 
     def test_json_shape(self):
-        rep = verify_histogram(UNIT_SQUARE_HIST, "list:0,1", 0, "naive")
-        data = rep.to_json_dict()
+        naive = incidence_histogram(from_list(P5, [0, 1]), "naive")
+        data = verify_histogram(naive, "list:0,1", 0).to_json_dict()
         assert data["schema_version"] == 1
+        assert data["config"]["strategy"] == "naive"
         assert data["moments"]["t"] == 60
         assert data["identities"]["s1"]["pass"] is True
         assert data["proposition"]["slack_exact"] == "76/5"
         assert data["overall_pass"] is True
         assert data["config"]["set"] == "list:0,1"
+
+    def test_value_above_every_class_is_left_out(self):
+        # i = 7 > n = 2 lies beyond the last class (2, 4]; the report
+        # counts it in the moments alone.
+        data = verify_histogram(IncidenceHistogram(5, 2, {2: 6, 1: 12, 7: 1})).to_json_dict()
+        assert data["moments"] == {"s1": 31, "s2": 85, "t": 403, "q": 2509}
+        assert data["class_bound"] == {
+            "max_ratio": "0", "max_ratio_exact": "0", "checked_levels": 1, "pass": True}
+        assert data["dyadic"] == [{
+            "level": 0, "M": 1, "lm_count": 6, "incidences": 12,
+            "class_bound_limit": "80", "lm_bound_ratio": "0.1875",
+            "three_quarter_applicable": True, "three_quarter_ratio": "1.31607401295",
+        }]
+        assert data["config"]["strategy"] == ""
+        assert data["overall_pass"] is False
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(SMALL_PRIMES), st.integers(0, 2**32 - 1))

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridlines
 from gridlines.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+
+DATA = Path(__file__).parent / "data"
 
 
 # moments and verify print the same one-row sweep CSV for list:0,1 at p = 5.
@@ -58,6 +65,14 @@ class TestMoments:
             "--out", str(path))
         assert code == EXIT_OK and out == ""
         assert json.loads(path.read_text())["moments"]["t"] == 60
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_full_report(self, capsys, n):
+        # At n = 16 the class bound also checks (16, 32], a class beyond
+        # the dyadic rows; at n = 20 both cover the classes through it.
+        code, out, _ = run_cli(capsys, "moments", "--prime", "101", "--set", f"uniform:{n}:3")
+        assert code == EXIT_OK
+        assert out == (DATA / f"moments_p101_uniform_{n}_3.json").read_text()
 
 
 class TestVerify:
@@ -205,3 +220,21 @@ class TestUsage:
             main(["moments", "--prime", "5", "--set", "list:0,1",
                   "--strategy", "quantum"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestVerbose:
+    @pytest.mark.parametrize("argv, builds", [
+        (["moments", "--prime", "101", "--set", "uniform:16:3"], 1),
+        (["verify", "--prime", "31", "--set", "uniform:6:3"], 1),
+        (["sweep", "--primes", "31,101", "--set", "uniform:5", "--trials", "2"], 4),
+    ], ids=["moments", "verify", "sweep"])
+    def test_logs_each_auto_selected_strategy(self, argv, builds):
+        # A child process, so that --verbose sets up logging from scratch.
+        env = dict(os.environ, PYTHONPATH=str(Path(gridlines.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridlines.cli", *argv, "--verbose"],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == EXIT_OK
+        logged = [line for line in proc.stderr.splitlines()
+                  if "histogram strategy auto-selected: slope_direct" in line]
+        assert len(logged) == builds

@@ -65,6 +65,7 @@ class TestRunVerify:
     def test_injected_fault_fails(self):
         rep = run_verify(cfg(inject_fault=True))
         assert not rep.overall_pass
+        assert rep.strategy == "slope_direct"  # the corrupted copy keeps it
 
     def test_algebraic_delta_uses_the_uncorrupted_build(self):
         clean = run_verify(cfg())

@@ -1,15 +1,14 @@
-import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlines import ntt
-from gridlines.errors import InvalidParameter, ModulusMismatch
+from gridlines.errors import ModulusMismatch
 from gridlines.fieldsets import from_list, gen_full_field, gen_uniform, validate_prime
 from gridlines.incidence import (
+    STRATEGIES,
     IncidenceHistogram,
     Sloped,
     Vertical,
@@ -18,7 +17,6 @@ from gridlines.incidence import (
     default_strategy,
     incidence_count,
     incidence_histogram,
-    merge_counts,
     moments,
     slope_profile,
 )
@@ -63,9 +61,7 @@ class TestSlopeProfile:
         assert list(slope_profile(UNIT_SQUARE, 0)) == [2, 2, 0, 0, 0]
 
     def test_full_field(self):
-        A = gen_full_field(P5)
-        for strat in ("direct", "fast_convolution"):
-            assert list(slope_profile(A, 3, strat)) == [5] * 5
+        assert list(slope_profile(gen_full_field(P5), 3)) == [5] * 5
 
     def test_entries_match_incidence_count(self):
         A = from_list(validate_prime(11), [0, 2, 3, 7])
@@ -76,17 +72,10 @@ class TestSlopeProfile:
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(SMALL_PRIMES), st.integers(0, 2**32 - 1))
-    def test_strategies_agree_and_mass_is_n_squared(self, p, seed):
+    def test_mass_is_n_squared(self, p, seed):
         A = random_subset(p, seed)
         m = SplitMix64(seed ^ 1).below(p)
-        direct = slope_profile(A, m, "direct")
-        fast = slope_profile(A, m, "fast_convolution")
-        assert np.array_equal(direct, fast)
-        assert direct.sum() == A.n * A.n
-
-    def test_unknown_strategy(self):
-        with pytest.raises(InvalidParameter):
-            slope_profile(UNIT_SQUARE, 0, "float_fft")
+        assert slope_profile(A, m).sum() == A.n * A.n
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(SMALL_PRIMES), st.integers(0, 2**32 - 1))
@@ -116,6 +105,15 @@ class TestHistogram:
     def test_single_point(self):
         h = incidence_histogram(from_list(P5, [0]))
         assert h.counts == {1: 6}
+
+    def test_records_its_strategy_and_compares_by_counts(self):
+        for strat in STRATEGIES:
+            assert incidence_histogram(UNIT_SQUARE, strat).strategy == strat
+        assert incidence_histogram(UNIT_SQUARE).strategy == "slope_direct"
+        assert incidence_histogram(from_list(P5, []), "slope_fast").strategy == "slope_fast"
+        by_hand = IncidenceHistogram(5, 2, {2: 6, 1: 12})
+        assert by_hand.strategy == ""
+        assert incidence_histogram(UNIT_SQUARE, "naive") == by_hand
 
     def test_full_field(self):
         h = incidence_histogram(gen_full_field(P5))
@@ -245,25 +243,6 @@ class TestMoments:
         A = gen_full_field(validate_prime(257))
         ms = moments(incidence_histogram(A, "slope_fast"))
         assert ms.s4 == (257**2 + 257) * 257**4  # > 2**64
-
-
-class TestSerializationAndMerge:
-    def test_json_round_trip(self):
-        h = incidence_histogram(UNIT_SQUARE)
-        data = json.loads(h.to_json())
-        assert data == {"p": 5, "n": 2, "counts": {"1": 12, "2": 6}}
-        back = IncidenceHistogram.from_json_dict(data)
-        assert back == h
-
-    def test_csv(self):
-        assert incidence_histogram(UNIT_SQUARE).to_csv() == "k,lines\n1,12\n2,6\n"
-
-    def test_merge_counts_associative_commutative(self):
-        parts = [{1: 2, 3: 1}, {1: 1}, {2: 5, 3: 4}]
-        merged = merge_counts(*parts)
-        assert merged == {1: 3, 2: 5, 3: 5}
-        assert merge_counts(parts[2], parts[0], parts[1]) == merged
-        assert merge_counts(merge_counts(parts[0], parts[1]), parts[2]) == merged
 
 
 class TestDefaultStrategy:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from gridlines.fieldsets import (
     gen_uniform,
     validate_prime,
 )
+from gridlines.harness import support_to_json_dict
 from gridlines.products import CENSUS_BUDGET, product_rep_table, second_moment, support_census
 from gridlines.rng import SplitMix64
 
@@ -287,6 +289,13 @@ class TestCensusRows:
         assert summary.max_support == max(supports)
         assert summary.mean_support == Fraction(sum(supports), len(supports))
         assert all(type(x) is int for x in (summary.min_support, summary.max_support))
+
+    def test_statistics_hold_when_the_rows_are_a_plain_list(self):
+        for summary in (support_census(self.A), support_census(self.A, sample=5, seed=3)):
+            listed = dataclasses.replace(summary, pairs=list(summary.pairs))
+            for name in ("min_support", "max_support", "mean_support"):
+                assert getattr(listed, name) == getattr(summary, name), name
+            assert support_to_json_dict(listed) == support_to_json_dict(summary)
 
 
 class TestCensusBudget:

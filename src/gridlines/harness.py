@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import oracle
 from .bounds import VerificationReport, render_fraction, root_fraction, verify_histogram
@@ -36,7 +36,8 @@ from .incidence import IncidenceHistogram, incidence_histogram, moments
 from .products import support_census
 from .rng import trial_seed
 
-# Cost guard for including the naive strategy in equivalence checks.
+# Cost guard for including the naive strategy in equivalence checks:
+# p**2 n <= 2e7 membership lookups, about 50 ms of naive.
 NAIVE_BUDGET = 20_000_000
 
 
@@ -76,15 +77,22 @@ def _single_prime(cfg: ExperimentConfig, command: str) -> Tuple[FieldSubset, int
     return subset, spec.seed if spec.seed is not None else cfg.seed
 
 
+def _timed(timings: Dict[str, float], name: str, call, *args):
+    """call(*args), recording its wall time in milliseconds under name."""
+    t0 = time.perf_counter()
+    result = call(*args)
+    timings[name] = round((time.perf_counter() - t0) * 1000.0, 3)
+    return result
+
+
 def run_moments(cfg: ExperimentConfig) -> VerificationReport:
     """Histogram + moments + full verifier output for a single (p, A)."""
     subset, used_seed = _single_prime(cfg, "moments")
-    t0 = time.perf_counter()
-    hist = incidence_histogram(subset, cfg.strategy)
-    build_ms = (time.perf_counter() - t0) * 1000.0
+    timings: Dict[str, float] = {}
+    hist = _timed(timings, "histogram", incidence_histogram, subset, cfg.strategy)
     report = verify_histogram(hist, subset.provenance, used_seed)
     if cfg.timings:
-        report.timings_ms = {"histogram": round(build_ms, 3)}
+        report.timings_ms = timings
     return report
 
 
@@ -101,12 +109,14 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
     The naive strategy joins the equivalence check only while
     p**2 * n stays under NAIVE_BUDGET; the two slope strategies are
     always compared.  Oracle cross-checks run when n is within caps.
+    With timings, each build and oracle is timed: "histogram" for the
+    first build, "histogram:<strategy>" for each equivalence build, and
+    "t_brute", "q_brute" and "algebraic".
     """
     subset, used_seed = _single_prime(cfg, "verify")
     p, n = subset.p, subset.n
-    t0 = time.perf_counter()
-    hist = incidence_histogram(subset, cfg.strategy)
-    build_ms = (time.perf_counter() - t0) * 1000.0
+    timings: Dict[str, float] = {}
+    hist = _timed(timings, "histogram", incidence_histogram, subset, cfg.strategy)
     s3 = moments(hist).s3  # taken before any injected fault
     if cfg.inject_fault:
         hist = _corrupt(hist)
@@ -118,21 +128,21 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
     for variant in sorted(variants):
         if variant == hist.strategy:
             continue
-        other = incidence_histogram(subset, variant)
+        other = _timed(timings, f"histogram:{variant}", incidence_histogram, subset, variant)
         if other.counts != hist.counts:
             equivalent = False
     report = verify_histogram(hist, subset.provenance, used_seed)
     report.strategy_equivalence = equivalent
     if n <= cfg.t_cap:
-        report.oracle_t = oracle.t_brute(subset, cfg.t_cap)
+        report.oracle_t = _timed(timings, "t_brute", oracle.t_brute, subset, cfg.t_cap)
     if n <= cfg.q_cap:
-        report.oracle_q = oracle.q_brute(subset, cfg.q_cap)
+        report.oracle_q = _timed(timings, "q_brute", oracle.q_brute, subset, cfg.q_cap)
     if n <= cfg.alg_cap:
-        alg = oracle.algebraic_triple_count(subset, cfg.alg_cap, s3)
+        alg = _timed(timings, "algebraic", oracle.algebraic_triple_count, subset, cfg.alg_cap, s3)
         report.algebraic_count = alg.count
         report.algebraic_delta = alg.delta
     if cfg.timings:
-        report.timings_ms = {"histogram": round(build_ms, 3)}
+        report.timings_ms = timings
     return report
 
 

@@ -17,7 +17,8 @@ The power sums of the histogram are the central statistics:
 
 Three build strategies produce bit-identical histograms:
 
-    naive         iterate over every line and every x, Theta(p**2 n)
+    naive         count every line from its own equation, p**2 n
+                  membership lookups, vectorized per chunk of slopes
     slope_direct  per-slope residue tally of y - m*x, ~p n**2 / 2
     slope_fast    exact cyclic convolution, k slopes per transform,
                   ~(p/2) L log2 L / k, with L = ntt.conv_length(p) the
@@ -31,8 +32,11 @@ every class {m, 1/m}, counted twice (once for the self-inverse slopes 1
 and p - 1), and adds slope 0 and the vertical family in closed form:
 each has n lines through a full row or column of the grid.  Per-slope
 results merge by plain addition of sparse counts, so slopes may be
-processed in any order or concurrently.  naive uses no symmetry and
-stays the independent reference.
+processed in any order or concurrently.  naive uses no symmetry, no
+closed form for slope 0 and no y - m*x keys: it stays the independent
+reference.
+
+Every strategy refuses p > ENGINE_MAX_P before allocating anything.
 
 Only incidence_histogram decides the strategy: given none, it applies
 default_strategy and logs the choice (the CLI's --verbose).  Each
@@ -67,7 +71,8 @@ def _members(A: FieldSubset) -> frozenset:
 
 STRATEGIES = ("naive", "slope_direct", "slope_fast")
 
-# Dense per-slope buffers are p entries; cap keeps them under ~128 MiB.
+# Dense per-slope buffers are p entries, in every strategy; the cap keeps
+# them under ~128 MiB.
 ENGINE_MAX_P = 1 << 24
 
 # Target element count per vectorized chunk of slopes; sized so chunk
@@ -223,8 +228,8 @@ def incidence_histogram(A: FieldSubset, strategy: Optional[str] = None) -> Incid
         logger.info("histogram strategy auto-selected: %s (p=%d, n=%d)", strategy, p, n)
     if strategy not in STRATEGIES:
         raise InvalidParameter(f"unknown histogram strategy {strategy!r}")
-    if strategy != "naive" and p > ENGINE_MAX_P:
-        raise InvalidParameter(f"slope strategies support p <= {ENGINE_MAX_P}")
+    if p > ENGINE_MAX_P:
+        raise InvalidParameter(f"histogram strategies support p <= {ENGINE_MAX_P}")
     if n == 0:
         return IncidenceHistogram(p, 0, {}, strategy)
     if strategy == "naive":
@@ -244,22 +249,34 @@ def incidence_histogram(A: FieldSubset, strategy: Optional[str] = None) -> Incid
 
 
 def _tally_naive(A: FieldSubset) -> Dict[int, int]:
-    """Count every line point by point: (x, m*x + b) for each x in A."""
+    """Count every line from its own equation: x in A with m*x + b in A.
+
+    Slopes are processed in chunks of about _CHUNK_TARGET // p, so one
+    chunk holds about _CHUNK_TARGET line counts i(Sloped(m, b)).
+    member is the indicator of A laid out twice, so member[m*x % p + b]
+    for b < p needs no reduction: for each x the lines of slope m read
+    the p consecutive entries starting at m*x % p.  The vertical lines
+    x = c are counted in closed form, n lines of n points.
+    """
     p, n = A.p, A.n
-    xs = A.elements
-    members = frozenset(xs)
-    tally: Dict[int, int] = {}
-    for m in range(p):
-        for b in range(p):
-            k = 0
-            for x in xs:
-                if (m * x + b) % p in members:
-                    k += 1
-            if k:
-                tally[k] = tally.get(k, 0) + 1
-    for c in range(p):
-        if c in members:
-            tally[n] = tally.get(n, 0) + 1
+    elems = np.asarray(A.elements, dtype=np.intp)
+    member = np.zeros(2 * p, dtype=np.uint8)
+    member[elems] = 1
+    member[elems + p] = 1
+    windows = np.lib.stride_tricks.sliding_window_view(member, p)  # (p + 1, p)
+    chunk = max(1, min(p, _CHUNK_TARGET // p))
+    buffer = np.empty((chunk, p), dtype=np.intp)
+    acc = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, p, chunk):
+        ms = np.arange(start, min(start + chunk, p), dtype=np.intp)
+        mx = ms[:, None] * elems[None, :] % p                     # (c, n)
+        counts = buffer[:len(ms)]                                 # (c, p)
+        counts.fill(0)
+        for j in range(n):
+            counts += windows[mx[:, j]]
+        acc += np.bincount(counts.ravel(), minlength=n + 1)
+    tally = {int(k): int(acc[k]) for k in range(1, n + 1) if acc[k]}
+    tally[n] = tally.get(n, 0) + n
     return tally
 
 

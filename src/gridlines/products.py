@@ -28,10 +28,11 @@ integers) above, where the products would overflow int64.
 
 A full census forms n**4 products and a sampled one sample * n**2;
 support_census refuses more than CENSUS_BUDGET before doing any work.
-Its rows are kept as columns, int64 support sizes and second moments
-plus the pair indices when sampled, and `SupportSummary.pairs` is a
-read-only sequence view over them that yields (a1, a3, support_size,
-second_moment) tuples of Python ints.
+Its rows are kept as columns, support sizes in
+np.min_scalar_type(n**2) and second moments in np.min_scalar_type(n**4)
+(uint16 and uint32 at n = 30) plus the int64 pair indices when sampled,
+and `SupportSummary.pairs` is a read-only sequence view over them that
+yields (a1, a3, support_size, second_moment) tuples of Python ints.
 
 `product_rep_table` builds one table on its own (np.unique over the
 n**2 products); it is the independent reference the census is tested
@@ -109,11 +110,13 @@ def _product_moments(
 
     Pair j tabulates left[rows1[j], i] * right[rows3[j], k] mod p over
     every (i, k); both tables need at least one column.  Returns two
-    int64 arrays indexed like rows1.
+    arrays indexed like rows1, each of the narrowest unsigned dtype that
+    holds its largest possible value: the support is at most the row
+    width of products and the second moment at most width**2.
     """
     width = left.shape[1] * right.shape[1]
-    supports = np.empty(len(rows1), dtype=np.int64)
-    moments = np.empty(len(rows1), dtype=np.int64)
+    supports = np.empty(len(rows1), dtype=np.min_scalar_type(width))
+    moments = np.empty(len(rows1), dtype=np.min_scalar_type(width * width))
     block = max(1, _BLOCK_PRODUCTS // width)
     for start in range(0, len(rows1), block):
         stop = min(start + block, len(rows1))

@@ -51,6 +51,14 @@ class TestMoments:
         assert code == EXIT_USAGE
         assert "'q'" in err
 
+    def test_naive_past_engine_max_exits_usage(self, capsys):
+        # Uncapped, naive would make about p**2 n = 2**63 lookups.
+        code, out, err = run_cli(
+            capsys, "moments", "--prime", str(2**31 + 11), "--set", "list:0,1",
+            "--strategy", "naive")
+        assert code == EXIT_USAGE and out == ""
+        assert str(2**24) in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "moments", "--prime", "5", "--set", "list:0,1",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -72,6 +73,20 @@ class TestRunVerify:
         faulty = run_verify(cfg(inject_fault=True))
         assert faulty.moment_set.s3 != clean.moment_set.s3
         assert faulty.algebraic_delta == clean.algebraic_delta
+
+    def test_timings_name_every_build_and_oracle(self):
+        small = cfg(primes=(31,), set_descriptor="uniform:5:7")
+        assert run_verify(small).timings_ms is None
+        assert "timings_ms" not in run_verify(small).to_json_dict()
+        timings = run_verify(dataclasses.replace(small, timings=True)).timings_ms
+        assert set(timings) == {
+            "histogram", "histogram:naive", "histogram:slope_fast",
+            "t_brute", "q_brute", "algebraic"}
+        assert all(type(ms) is float and ms >= 0 for ms in timings.values())
+        # p**2 n over NAIVE_BUDGET and n over every oracle cap: the two
+        # slope strategies only.
+        large = cfg(primes=(2003,), set_descriptor="paper-interval", timings=True)
+        assert set(run_verify(large).timings_ms) == {"histogram", "histogram:slope_fast"}
 
     def test_naive_skipped_above_budget(self):
         rep = run_verify(cfg(primes=(2003,), set_descriptor="paper-interval"))

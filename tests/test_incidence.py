@@ -1,11 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlines import ntt
-from gridlines.errors import ModulusMismatch
+from gridlines import incidence, ntt
+from gridlines.errors import InvalidParameter, ModulusMismatch
 from gridlines.fieldsets import from_list, gen_full_field, gen_uniform, validate_prime
 from gridlines.incidence import (
     STRATEGIES,
@@ -197,6 +198,52 @@ class TestHistogram:
             assert h.counts.get(n, 0) >= 2 * n
         assert all(v > 0 for v in h.counts.values())
         assert h.zero_lines >= 0
+
+
+def literal_counts(A):
+    """The histogram from incidence_count over every line, one at a time."""
+    tally = Counter(incidence_count(A, line) for line in all_lines(A.p))
+    del tally[0]
+    return dict(tally)
+
+
+NAIVE_PRIMES = [3, 5, 7, 11, 13]
+
+
+class TestNaive:
+    @pytest.mark.parametrize("p", NAIVE_PRIMES)
+    def test_matches_literal_count_on_edge_sets(self, p):
+        m = validate_prime(p)
+        for elements in ([], [0], [p - 1], list(range(p))):
+            A = from_list(m, elements)
+            assert incidence_histogram(A, "naive").counts == literal_counts(A), elements
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(NAIVE_PRIMES), st.integers(0, 2**32 - 1))
+    def test_matches_literal_count_on_random_sets(self, p, seed):
+        A = random_subset(p, seed)
+        assert incidence_histogram(A, "naive").counts == literal_counts(A)
+
+    # At p = 13: one slope per chunk (targets 1 and 13), and chunks of
+    # 5, 5 and 3 slopes, the last one short (target 65).
+    @pytest.mark.parametrize("target", [1, 13, 65])
+    def test_chunk_boundaries(self, monkeypatch, target):
+        monkeypatch.setattr(incidence, "_CHUNK_TARGET", target)
+        m = validate_prime(13)
+        for elements in ([12], [0, 3, 4, 9, 12], list(range(13))):
+            A = from_list(m, elements)
+            assert incidence_histogram(A, "naive").counts == literal_counts(A), elements
+
+    def test_every_strategy_refuses_p_past_engine_max(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("tally started past ENGINE_MAX_P")
+
+        for name in ("_tally_naive", "_tally_slopes_direct", "_tally_slopes_fast"):
+            monkeypatch.setattr(incidence, name, never)
+        A = from_list(validate_prime(2**31 + 11), [0, 1])
+        for strategy in STRATEGIES:
+            with pytest.raises(InvalidParameter):
+                incidence_histogram(A, strategy)
 
 
 class TestMoments:

@@ -246,10 +246,44 @@ class TestCensusKernel:
         p = 2**61 - 1
         A = from_list(validate_prime(p), [0, 1, 5, 2**40 + 3, p - 2**20, p - 1])
         summary = support_census(A)
-        assert summary.pairs.supports.dtype == np.int64
+        # Column widths follow n alone: 6**2 = 36 and 6**4 = 1296.
+        assert summary.pairs.supports.dtype == np.uint8
+        assert summary.pairs.moments.dtype == np.uint16
         assert_census_matches_tables(A, summary)
         sampled = support_census(A, sample=7, seed=2)
         assert_census_matches_tables(A, sampled)
+
+
+class TestColumnWidths:
+    # n**2 crosses 2**16 and n**4 crosses 2**32 between n = 255 and 256.
+    @pytest.mark.parametrize("n, supports, moments", [
+        (255, np.uint16, np.uint32),
+        (256, np.uint32, np.uint64),
+    ])
+    def test_sampled_census_at_the_boundary(self, n, supports, moments):
+        A = gen_uniform(validate_prime(100003), n, seed=n)
+        summary = support_census(A, sample=3, seed=1)
+        assert summary.pairs.supports.dtype == supports
+        assert summary.pairs.moments.dtype == moments
+        assert_census_matches_tables(A, summary)
+        for row in list(summary.pairs) + [summary.pairs[0]]:
+            assert all(type(x) is int for x in row)
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_extreme_values_fit_their_columns(self, n):
+        # One pair of n-column rows forms n**2 products.  All equal:
+        # support 1 and second moment n**4, 2**32 at n = 256.  All
+        # distinct (1..n against primes above n, every product below p):
+        # support and second moment n**2, 2**16 at n = 256.
+        p = 1_000_003
+        ones = np.ones((1, n), dtype=np.int64)
+        supports, moments = products._product_moments(ones, ones, [0], [0], p)
+        assert (int(supports[0]), int(moments[0])) == (1, n ** 4)
+        primes = [q for q in range(n + 1, 4000) if all(q % d for d in range(2, q))]
+        left = np.arange(1, n + 1, dtype=np.int64)[None, :]
+        right = np.array(primes[:n], dtype=np.int64)[None, :]
+        supports, moments = products._product_moments(left, right, [0], [0], p)
+        assert (int(supports[0]), int(moments[0])) == (n ** 2, n ** 2)
 
 
 class TestCensusRows:

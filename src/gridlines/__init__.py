@@ -38,7 +38,6 @@ from .errors import (
     LengthExceedsField,
     ModulusMismatch,
     NotPrime,
-    ZeroInverse,
 )
 from .fieldsets import (
     FieldSubset,
@@ -52,7 +51,6 @@ from .fieldsets import (
     gen_interval,
     gen_paper_interval,
     gen_uniform,
-    mod_inv,
     parse_set_descriptor,
     validate_prime,
 )
@@ -81,7 +79,6 @@ from .incidence import (
     slope_profile,
 )
 from .oracle import (
-    AlgebraicTripleCount,
     Point,
     algebraic_triple_count,
     collinear,

@@ -17,10 +17,6 @@ class EvenCharacteristic(GridlinesError):
     """Modulus 2 is rejected: the field must have odd characteristic."""
 
 
-class ZeroInverse(GridlinesError):
-    """Multiplicative inverse of 0 requested."""
-
-
 class InvalidDensity(GridlinesError):
     """Bernoulli density outside (0, 1]."""
 

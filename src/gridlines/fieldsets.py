@@ -36,7 +36,6 @@ from .errors import (
     InvalidParameter,
     LengthExceedsField,
     NotPrime,
-    ZeroInverse,
 )
 from .rng import MASK64, SplitMix64, splitmix64_stream
 
@@ -88,24 +87,10 @@ class PrimeModulus:
         if not _is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
 
-    @property
-    def line_count(self) -> int:
-        """Number of affine lines: p**2 sloped plus p vertical."""
-        return self.p * self.p + self.p
-
 
 def validate_prime(n: int) -> PrimeModulus:
     """Validate n as an odd prime and wrap it."""
     return PrimeModulus(int(n))
-
-
-def mod_inv(x: int, m: PrimeModulus) -> int:
-    """Multiplicative inverse of x mod p; x must be a nonzero residue."""
-    if not 0 <= x < m.p:
-        raise InvalidParameter(f"{x} is not a residue mod {m.p}")
-    if x == 0:
-        raise ZeroInverse("0 has no multiplicative inverse")
-    return pow(x, -1, m.p)
 
 
 @dataclass(frozen=True)

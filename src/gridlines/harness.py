@@ -3,12 +3,13 @@
 Sweeps execute one task per (prime, trial) pair.  The trial seed is
 trial_seed(base_seed, prime, index) from the rng module, so results are
 reproducible row by row and extending the prime list never changes
-existing rows.  Workers run in separate processes when threads > 1;
-rows are sorted by (prime, trial) regardless of completion order, and
-any failed trial aborts the whole sweep with its (prime, trial) context
-attached.  The (prime, trial) pair is the only parallelism unit: the
-histogram strategies are single-threaded by design, so worker processes
-never oversubscribe the machine (one --threads knob, no nesting).
+existing rows.  Workers run in separate processes when threads > 1,
+at most one per task and per CPU; rows are sorted by (prime, trial)
+regardless of completion order, and any failed trial aborts the whole
+sweep with its (prime, trial) context attached.  The (prime, trial)
+pair is the only parallelism unit: the histogram strategies are
+single-threaded by design, so worker processes never oversubscribe the
+machine (one --threads knob, no nesting).
 
 Output determinism: with identical config and seed, the emitted JSON
 and CSV are byte-identical.  Wall-clock timings are therefore only
@@ -23,6 +24,7 @@ standard deviation of t / expected_t over those rows.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -138,9 +140,9 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
     if n <= cfg.q_cap:
         report.oracle_q = _timed(timings, "q_brute", oracle.q_brute, subset, cfg.q_cap)
     if n <= cfg.alg_cap:
-        alg = _timed(timings, "algebraic", oracle.algebraic_triple_count, subset, cfg.alg_cap, s3)
-        report.algebraic_count = alg.count
-        report.algebraic_delta = alg.delta
+        count = _timed(timings, "algebraic", oracle.algebraic_triple_count, subset, cfg.alg_cap)
+        report.algebraic_count = count
+        report.algebraic_delta = s3 - 2 * n**4 - count
     if cfg.timings:
         report.timings_ms = timings
     return report
@@ -255,7 +257,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         for trial in range(cfg.trials)
     ]
     rows: List[SweepRow] = []
-    if cfg.threads == 1:
+    # The pool forks all its workers at the first submit, so more than
+    # one per task or per CPU would only cost processes.
+    workers = min(cfg.threads, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         for task in tasks:
             rows.append(_run_task_with_context(task, _sweep_trial, task))
     else:
@@ -264,7 +269,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         # of start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(task, pool.submit(_sweep_trial, task)) for task in tasks]
             for task, fut in futures:
                 rows.append(_run_task_with_context(task, fut.result))

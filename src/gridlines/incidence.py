@@ -24,23 +24,24 @@ Three build strategies produce bit-identical histograms:
                   ~(p/2) L log2 L / k, with L = ntt.conv_length(p) the
                   transform length and k = _digit_capacity(n)
 
+Each strategy is one tally _tally_<strategy>(A, acc) that adds the
+counts-of-counts of the p**2 sloped lines into one accumulator.  Only
+incidence_histogram picks the tally: given no strategy it applies
+default_strategy and logs the choice (the CLI's --verbose).  It refuses
+p > ENGINE_MAX_P before allocating anything, adds the vertical family
+(n lines x = c, c in A, each through a full column of the grid) and
+records the strategy in the histogram.
+
 slope_direct and slope_fast group work per slope and use the
 inverse-slope symmetry: swapping coordinates maps A x A onto itself and
 the line y = m*x + b (m != 0) onto y = x/m - b/m, so slopes m and 1/m
 have the same multiset of incidence counts.  Each tallies one slope of
 every class {m, 1/m}, counted twice (once for the self-inverse slopes 1
-and p - 1), and adds slope 0 and the vertical family in closed form:
-each has n lines through a full row or column of the grid.  Per-slope
-results merge by plain addition of sparse counts, so slopes may be
-processed in any order or concurrently.  naive uses no symmetry, no
-closed form for slope 0 and no y - m*x keys: it stays the independent
-reference.
-
-Every strategy refuses p > ENGINE_MAX_P before allocating anything.
-
-Only incidence_histogram decides the strategy: given none, it applies
-default_strategy and logs the choice (the CLI's --verbose).  Each
-histogram records the strategy that built it.
+and p - 1), and adds slope 0 in closed form: n rows y = b, b in A.
+Per-slope results merge by plain addition, so slopes may be processed
+in any order.  slope_direct's dense branch and slope_profile share one
+profile kernel, _profiles.  naive uses no symmetry, no closed form for
+slope 0 and no y - m*x keys: it stays the independent reference.
 
 slope_fast packs k slopes into one convolution as base-(n + 1) digits:
 a profile entry never exceeds n, so the k profiles come back as the
@@ -64,12 +65,6 @@ from .fieldsets import FieldSubset
 
 logger = logging.getLogger(__name__)
 
-
-@lru_cache(maxsize=128)
-def _members(A: FieldSubset) -> frozenset:
-    return frozenset(A.elements)
-
-STRATEGIES = ("naive", "slope_direct", "slope_fast")
 
 # Dense per-slope buffers are p entries, in every strategy; the cap keeps
 # them under ~128 MiB.
@@ -115,31 +110,13 @@ def _check_coeff(value: int, p: int, name: str) -> None:
 def incidence_count(A: FieldSubset, line: Line) -> int:
     """Number of points of A x A on the line."""
     p = A.p
-    members = _members(A)
     if isinstance(line, Vertical):
         _check_coeff(line.c, p, "offset")
-        return A.n if line.c in members else 0
+        return A.n if line.c in A else 0
     _check_coeff(line.m, p, "slope")
     _check_coeff(line.b, p, "intercept")
     m, b = line.m, line.b
-    return sum(1 for x in A.elements if (m * x + b) % p in members)
-
-
-def slope_profile(A: FieldSubset, m: int) -> np.ndarray:
-    """Incidence counts of all p lines with slope m, indexed by intercept.
-
-    Entry b is i(Sloped(m, b)); equivalently the number of pairs
-    (x, y) in A x A with y - m*x = b mod p.
-    """
-    p = A.p
-    _check_coeff(m, p, "slope")
-    if p > ENGINE_MAX_P:
-        raise InvalidParameter(f"slope_profile supports p <= {ENGINE_MAX_P}")
-    if A.n == 0:
-        return np.zeros(p, dtype=np.int64)
-    elems = np.asarray(A.elements, dtype=np.int64)
-    slots = (elems[:, None] - (m * elems)[None, :] % p) % p
-    return np.bincount(slots.ravel(), minlength=p)
+    return sum(1 for x in A.elements if (m * x + b) % p in A)
 
 
 @dataclass(frozen=True)
@@ -220,43 +197,14 @@ def default_strategy(p: int, n: int) -> str:
     return "slope_fast"
 
 
-def incidence_histogram(A: FieldSubset, strategy: Optional[str] = None) -> IncidenceHistogram:
-    """Histogram of i(line) over all p**2 + p lines of the plane."""
-    p, n = A.p, A.n
-    if strategy is None:
-        strategy = default_strategy(p, n)
-        logger.info("histogram strategy auto-selected: %s (p=%d, n=%d)", strategy, p, n)
-    if strategy not in STRATEGIES:
-        raise InvalidParameter(f"unknown histogram strategy {strategy!r}")
-    if p > ENGINE_MAX_P:
-        raise InvalidParameter(f"histogram strategies support p <= {ENGINE_MAX_P}")
-    if n == 0:
-        return IncidenceHistogram(p, 0, {}, strategy)
-    if strategy == "naive":
-        return IncidenceHistogram(p, n, _tally_naive(A), strategy)
-
-    # counts-of-counts accumulator over k = 0..n; index 0 is discarded.
-    acc = np.zeros(n + 1, dtype=np.int64)
-    if strategy == "slope_direct":
-        _tally_slopes_direct(A, acc)
-    else:
-        _tally_slopes_fast(A, acc)
-    counts = {int(k): int(acc[k]) for k in range(1, n + 1) if acc[k]}
-    # Slope 0 and the vertical family: n lines each meet a full row or
-    # column, the other p - n miss the grid.
-    counts[n] = counts.get(n, 0) + 2 * n
-    return IncidenceHistogram(p, n, counts, strategy)
-
-
-def _tally_naive(A: FieldSubset) -> Dict[int, int]:
-    """Count every line from its own equation: x in A with m*x + b in A.
+def _tally_naive(A: FieldSubset, acc: np.ndarray) -> None:
+    """Count every sloped line from its own equation: x in A with m*x + b in A.
 
     Slopes are processed in chunks of about _CHUNK_TARGET // p, so one
     chunk holds about _CHUNK_TARGET line counts i(Sloped(m, b)).
     member is the indicator of A laid out twice, so member[m*x % p + b]
     for b < p needs no reduction: for each x the lines of slope m read
-    the p consecutive entries starting at m*x % p.  The vertical lines
-    x = c are counted in closed form, n lines of n points.
+    the p consecutive entries starting at m*x % p.
     """
     p, n = A.p, A.n
     elems = np.asarray(A.elements, dtype=np.intp)
@@ -266,7 +214,6 @@ def _tally_naive(A: FieldSubset) -> Dict[int, int]:
     windows = np.lib.stride_tricks.sliding_window_view(member, p)  # (p + 1, p)
     chunk = max(1, min(p, _CHUNK_TARGET // p))
     buffer = np.empty((chunk, p), dtype=np.intp)
-    acc = np.zeros(n + 1, dtype=np.int64)
     for start in range(0, p, chunk):
         ms = np.arange(start, min(start + chunk, p), dtype=np.intp)
         mx = ms[:, None] * elems[None, :] % p                     # (c, n)
@@ -275,9 +222,6 @@ def _tally_naive(A: FieldSubset) -> Dict[int, int]:
         for j in range(n):
             counts += windows[mx[:, j]]
         acc += np.bincount(counts.ravel(), minlength=n + 1)
-    tally = {int(k): int(acc[k]) for k in range(1, n + 1) if acc[k]}
-    tally[n] = tally.get(n, 0) + n
-    return tally
 
 
 @lru_cache(maxsize=8)
@@ -305,36 +249,64 @@ def _slope_classes(p: int) -> Tuple[Tuple[np.ndarray, int], ...]:
     return (paired, 2), (self_inverse, 1)
 
 
-def _tally_slopes_direct(A: FieldSubset, acc: np.ndarray) -> None:
+def _profiles(elems: np.ndarray, slopes: np.ndarray, p: int, keys: np.ndarray) -> np.ndarray:
+    """Intercept profiles of c slopes: entry [j, b] is i(Sloped(slopes[j], b)).
+
+    keys is an intp buffer of at least (c, n, n) entries, filled in place
+    so bincount reads it without a cast copy.  Slope j keys each point
+    (x, y) as 2p*j + p + y - m*x, which lies in [2p*j, 2p*(j + 1)); the
+    two halves of those 2p bins are intercepts y - m*x + p and y - m*x,
+    so folding them yields the profile without reducing any key mod p.
+    """
+    c = len(slopes)
+    mx = slopes[:, None] * elems[None, :] % p                     # (c, n)
+    k = keys[:c]                                                  # (c, n, n)
+    shift = np.arange(p, 2 * p * c, 2 * p, dtype=np.intp)[:, None] - mx
+    np.add(elems[None, None, :], shift[:, :, None], out=k)
+    halves = np.bincount(k.ravel(), minlength=2 * p * c).reshape(c, 2, p)
+    return halves[:, 0] + halves[:, 1]
+
+
+def slope_profile(A: FieldSubset, m: int) -> np.ndarray:
+    """Incidence counts of all p lines with slope m, indexed by intercept.
+
+    Entry b is i(Sloped(m, b)); equivalently the number of pairs
+    (x, y) in A x A with y - m*x = b mod p.
+    """
+    p, n = A.p, A.n
+    _check_coeff(m, p, "slope")
+    if p > ENGINE_MAX_P:
+        raise InvalidParameter(f"slope_profile supports p <= {ENGINE_MAX_P}")
+    elems = np.asarray(A.elements, dtype=np.intp)
+    keys = np.empty((1, n, n), dtype=np.intp)
+    return _profiles(elems, np.array([m], dtype=np.intp), p, keys)[0]
+
+
+def _tally_slope_direct(A: FieldSubset, acc: np.ndarray) -> None:
     """Tally per-slope intercept profiles by direct residue counting.
 
-    Slopes are processed in vectorized chunks, each filling one
-    preallocated intp key buffer in place, so bincount reads it without
-    a cast copy.  A dense profile keys (slope offset, p + y - m*x) over
-    2p bins per slope and folds the two halves, which spares a modular
-    reduction of every key.  When the field is much larger than the
-    grid (p > 2 n**2) almost all intercepts are empty, so instead the
-    reduced keys are sorted and run lengths counted, keeping the cost
-    proportional to p * n**2 rather than p**2.
+    Slopes are processed in vectorized chunks that share one
+    preallocated intp key buffer.  A dense chunk reads its profiles
+    from _profiles and bincounts them.  When the field is much larger
+    than the grid (p > 2 n**2) almost all intercepts are empty, so
+    instead the reduced keys are sorted and run lengths counted,
+    keeping the cost proportional to p * n**2 rather than p**2.
     """
     p, n = A.p, A.n
     classes = _slope_classes(p)
     sparse = p > 2 * n * n
-    span = p if sparse else 2 * p
     most = max(len(slopes) for slopes, _ in classes)
-    chunk = max(1, min(most, _CHUNK_TARGET // max(n * n, 1 if sparse else span)))
+    chunk = max(1, min(most, _CHUNK_TARGET // max(n * n, 1 if sparse else 2 * p)))
     elems = np.asarray(A.elements, dtype=np.intp)
     keys = np.empty((chunk, n, n), dtype=np.intp)
-    offsets = np.arange(chunk, dtype=np.intp) * span
-    if not sparse:
-        offsets += p
+    offsets = np.arange(chunk, dtype=np.intp) * p
     for slopes, weight in classes:
         for start in range(0, len(slopes), chunk):
             ms = slopes[start:start + chunk]
-            c = len(ms)
-            mx = ms[:, None] * elems[None, :] % p                 # (c, n)
-            k = keys[:c]                                          # (c, n, n)
             if sparse:
+                c = len(ms)
+                mx = ms[:, None] * elems[None, :] % p             # (c, n)
+                k = keys[:c]                                      # (c, n, n)
                 np.subtract(elems[None, None, :], mx[:, :, None], out=k)
                 np.remainder(k, p, out=k)
                 np.add(k, offsets[:c, None, None], out=k)
@@ -346,13 +318,10 @@ def _tally_slopes_direct(A: FieldSubset, acc: np.ndarray) -> None:
                 edges = np.concatenate(([-1], step, [flat.size - 1]))
                 part = np.bincount(np.diff(edges), minlength=len(acc))
             else:
-                shift = offsets[:c, None] - mx
-                np.add(elems[None, None, :], shift[:, :, None], out=k)
-                halves = np.bincount(k.ravel(), minlength=c * span).reshape(c, 2, p)
-                profiles = halves[:, 0] + halves[:, 1]
-                part = np.bincount(profiles.ravel(), minlength=len(acc))
+                part = np.bincount(_profiles(elems, ms, p, keys).ravel(), minlength=len(acc))
             # run lengths / profiles never exceed n, so nothing is truncated.
             acc += weight * part[: len(acc)]
+    acc[n] += n  # slope 0: the n rows y = b, b in A
 
 
 def _digit_capacity(n: int) -> int:
@@ -369,7 +338,7 @@ def _digit_capacity(n: int) -> int:
     return k
 
 
-def _tally_slopes_fast(A: FieldSubset, acc: np.ndarray) -> None:
+def _tally_slope_fast(A: FieldSubset, acc: np.ndarray) -> None:
     """Tally per-slope profiles via exact cyclic convolution, k slopes at once.
 
     The indicator f of A (as y-values) is transformed once.  Each
@@ -402,3 +371,33 @@ def _tally_slopes_fast(A: FieldSubset, acc: np.ndarray) -> None:
         for weight in weights[start:start + k]:
             packed, digit = np.divmod(packed, base)
             acc += weight * np.bincount(digit, minlength=base)
+    acc[n] += n  # slope 0: the n rows y = b, b in A
+
+
+# The one dispatch table of the histogram strategies, in CLI order.
+_TALLIES = {
+    "naive": _tally_naive,
+    "slope_direct": _tally_slope_direct,
+    "slope_fast": _tally_slope_fast,
+}
+STRATEGIES = tuple(_TALLIES)
+
+
+def incidence_histogram(A: FieldSubset, strategy: Optional[str] = None) -> IncidenceHistogram:
+    """Histogram of i(line) over all p**2 + p lines of the plane."""
+    p, n = A.p, A.n
+    if strategy is None:
+        strategy = default_strategy(p, n)
+        logger.info("histogram strategy auto-selected: %s (p=%d, n=%d)", strategy, p, n)
+    if strategy not in _TALLIES:
+        raise InvalidParameter(f"unknown histogram strategy {strategy!r}")
+    if p > ENGINE_MAX_P:
+        raise InvalidParameter(f"histogram strategies support p <= {ENGINE_MAX_P}")
+    if n == 0:
+        return IncidenceHistogram(p, 0, {}, strategy)
+    # counts-of-counts accumulator over k = 0..n; index 0 is discarded.
+    acc = np.zeros(n + 1, dtype=np.int64)
+    _TALLIES[strategy](A, acc)
+    acc[n] += n  # the vertical family: the n columns x = c, c in A
+    counts = {int(k): int(acc[k]) for k in range(1, n + 1) if acc[k]}
+    return IncidenceHistogram(p, n, counts, strategy)

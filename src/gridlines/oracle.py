@@ -25,14 +25,12 @@ ratio-equation 6-tuples through the product-support census kernel of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapExceeded
 from .fieldsets import FieldSubset, element_array
-from .incidence import incidence_histogram, moments
 from .products import _difference_table, _product_moments
 
 T_BRUTE_CAP = 8
@@ -105,18 +103,7 @@ def q_brute(A: FieldSubset, cap: int = Q_BRUTE_CAP) -> int:
     return not_all_equal + (p + 1) * n * n
 
 
-@dataclass(frozen=True)
-class AlgebraicTripleCount:
-    """Ratio-equation solution count and its reconciliation against s3."""
-
-    count: int
-    t_moment: int
-    delta: int  # t_moment - 2*n**4 - count
-
-
-def algebraic_triple_count(
-    A: FieldSubset, cap: int = ALGEBRAIC_CAP, s3: Optional[int] = None
-) -> AlgebraicTripleCount:
+def algebraic_triple_count(A: FieldSubset, cap: int = ALGEBRAIC_CAP) -> int:
     """Count 6-tuples (a1..a6) in A**6 solving the slanted-triple equation
 
         (a1 - a2) / (a3 - a4) = (a1 - a5) / (a3 - a6) != 0,
@@ -129,22 +116,18 @@ def algebraic_triple_count(
     reads from the nonzero differences a1 - a2 against the inverses of
     the nonzero differences a3 - a4.
 
-    Also reports delta = s3 - 2*n**4 - count, the discrepancy against
-    the engine's triple count after removing the two axis-parallel line
+    `harness.run_verify` reconciles it with the engine's triple count as
+    delta = s3 - 2*n**4 - count, which removes the two axis-parallel line
     families; the dominant degenerate term in delta is (p+1)*n**2.
-    s3 is that triple count when the caller has already built the
-    histogram of A; by default it is computed here.
     """
     n, p = A.n, A.p
     if n > cap:
         raise CapExceeded(f"algebraic_triple_count: n = {n} exceeds cap {cap}")
-    count = 0
-    if n > 1:
-        nonzero = _difference_table(A)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-        inverses = np.array(
-            [[pow(d, -1, p) for d in row] for row in nonzero.tolist()], dtype=nonzero.dtype)
-        pairs = np.arange(n * n)
-        _, m2 = _product_moments(nonzero, inverses, pairs // n, pairs % n, p)
-        count = int(m2.sum())
-    t = moments(incidence_histogram(A)).s3 if s3 is None else s3
-    return AlgebraicTripleCount(count, t, t - 2 * n ** 4 - count)
+    if n < 2:
+        return 0
+    nonzero = _difference_table(A)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    inverses = np.array(
+        [[pow(d, -1, p) for d in row] for row in nonzero.tolist()], dtype=nonzero.dtype)
+    pairs = np.arange(n * n)
+    _, m2 = _product_moments(nonzero, inverses, pairs // n, pairs % n, p)
+    return int(m2.sum())

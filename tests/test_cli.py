@@ -83,6 +83,22 @@ class TestMoments:
         assert out == (DATA / f"moments_p101_uniform_{n}_3.json").read_text()
 
 
+# Goldens for the engine paths beyond the dense slope_direct branch above.
+@pytest.mark.parametrize("argv, golden", [
+    # slope_fast main build.
+    (["moments", "-p", "101", "--set", "uniform:61:2"], "moments_p101_uniform_61_2.json"),
+    # Sort-branch main build, slope_fast and naive equivalence builds,
+    # both brute-force oracles and the algebraic delta.
+    (["verify", "-p", "101", "--set", "uniform:6:4"], "verify_p101_uniform_6_4.json"),
+    (["sweep", "--primes", "101,211", "--set", "bernoulli:0.3", "--trials", "3",
+      "--seed", "5", "--format", "csv"], "sweep_p101_211_bernoulli_0.3_seed5.csv"),
+], ids=["moments-fast", "verify-sort", "sweep-csv"])
+def test_golden_output(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == (DATA / golden).read_text()
+
+
 class TestVerify:
     def test_hand_case_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--prime", "5", "--set", "list:0,1")

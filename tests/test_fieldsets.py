@@ -14,7 +14,6 @@ from gridlines.errors import (
     InvalidParameter,
     LengthExceedsField,
     NotPrime,
-    ZeroInverse,
 )
 from gridlines.fieldsets import (
     FieldSubset,
@@ -28,7 +27,6 @@ from gridlines.fieldsets import (
     gen_interval,
     gen_paper_interval,
     gen_uniform,
-    mod_inv,
     parse_set_descriptor,
     validate_prime,
 )
@@ -59,30 +57,6 @@ class TestValidatePrime:
     def test_cap(self):
         with pytest.raises(InvalidParameter):
             validate_prime(2**63 + 29)
-
-    def test_line_count(self):
-        assert validate_prime(5).line_count == 30
-
-
-class TestModInv:
-    def test_hand_values(self):
-        assert mod_inv(2, validate_prime(5)) == 3
-        assert mod_inv(1, validate_prime(7)) == 1
-
-    def test_zero(self):
-        with pytest.raises(ZeroInverse):
-            mod_inv(0, validate_prime(5))
-
-    def test_out_of_range(self):
-        with pytest.raises(InvalidParameter):
-            mod_inv(5, validate_prime(5))
-
-    @given(st.sampled_from(SMALL_PRIMES), st.integers(1, 30))
-    def test_inverse_property(self, p, x):
-        x %= p
-        if x == 0:
-            x = 1
-        assert x * mod_inv(x, validate_prime(p)) % p == 1
 
 
 class TestCanonicalForm:

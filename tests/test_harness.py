@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 from fractions import Fraction
@@ -136,6 +137,39 @@ class TestSweep:
         parallel = run_sweep(cfg(primes=(31,), set_descriptor="uniform:4",
                                  trials=4, seed=11, threads=2))
         assert sweep_to_csv(sequential) == sweep_to_csv(parallel)
+
+    @pytest.mark.parametrize("threads, cpus, workers", [
+        (100_000, 2, 2),   # capped by the CPUs
+        (100_000, 64, 6),  # capped by the tasks
+        (4, 64, 4),        # as asked
+        (3, 1, None),      # one worker: serial, no pool
+    ])
+    def test_pool_bounded_by_tasks_and_cpus(self, monkeypatch, threads, cpus, workers):
+        sizes = []
+
+        class InlinePool:
+            """Records max_workers and runs each task at submit; forks nothing."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        base = cfg(primes=(5, 7), set_descriptor="uniform:3", trials=3, seed=4)
+        pooled = run_sweep(dataclasses.replace(base, threads=threads))
+        assert sizes == ([] if workers is None else [workers])
+        assert sweep_to_csv(pooled) == sweep_to_csv(run_sweep(base))
 
     def test_descriptor_seed_overridden_per_trial(self):
         result = run_sweep(cfg(primes=(31,), set_descriptor="uniform:4:99",

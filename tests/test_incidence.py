@@ -238,10 +238,9 @@ class TestNaive:
         def never(*args):
             raise AssertionError("tally started past ENGINE_MAX_P")
 
-        for name in ("_tally_naive", "_tally_slopes_direct", "_tally_slopes_fast"):
-            monkeypatch.setattr(incidence, name, never)
         A = from_list(validate_prime(2**31 + 11), [0, 1])
         for strategy in STRATEGIES:
+            monkeypatch.setitem(incidence._TALLIES, strategy, never)
             with pytest.raises(InvalidParameter):
                 incidence_histogram(A, strategy)
 

@@ -34,7 +34,7 @@ from . import oracle
 from .bounds import VerificationReport, render_fraction, root_fraction, verify_histogram
 from .errors import GridlinesError, InvalidParameter
 from .fieldsets import FieldSubset, SetSpec, parse_set_descriptor, validate_prime
-from .incidence import IncidenceHistogram, incidence_histogram, moments
+from .incidence import IncidenceHistogram, _check_engine_prime, incidence_histogram, moments
 from .products import support_census
 from .rng import trial_seed
 
@@ -75,7 +75,10 @@ def _single_prime(cfg: ExperimentConfig, command: str) -> Tuple[FieldSubset, int
     if len(cfg.primes) != 1:
         raise InvalidParameter(f"{command} runs on exactly one prime")
     spec = cfg.spec
-    subset = spec.realize(validate_prime(cfg.primes[0]), cfg.seed)
+    modulus = validate_prime(cfg.primes[0])
+    if command != "support":  # refuse before building; the census has its own budget
+        _check_engine_prime(modulus.p)
+    subset = spec.realize(modulus, cfg.seed)
     return subset, spec.seed if spec.seed is not None else cfg.seed
 
 
@@ -249,7 +252,7 @@ class SweepResult:
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Run trials for every prime; abort on the first failed trial."""
     for prime in cfg.primes:
-        validate_prime(prime)
+        _check_engine_prime(validate_prime(prime).p)
     cfg.spec  # fail early on a bad descriptor
     tasks = [
         (cfg.set_descriptor, cfg.strategy, cfg.seed, prime, trial)

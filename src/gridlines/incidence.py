@@ -19,7 +19,8 @@ Three build strategies produce bit-identical histograms:
 
     naive         count every line from its own equation, p**2 n
                   membership lookups, vectorized per chunk of slopes
-    slope_direct  per-slope residue tally of y - m*x, ~p n**2 / 2
+    slope_direct  per-slope residue tally of y - m*x, ~p n**2 / 2 keys;
+                  for p > 2 n**2 runs of equal ratios, ~n**4 / 2 products
     slope_fast    exact cyclic convolution, k slopes per transform,
                   ~(p/2) L log2 L / k, with L = ntt.conv_length(p) the
                   transform length and k = _digit_capacity(n)
@@ -28,20 +29,25 @@ Each strategy is one tally _tally_<strategy>(A, acc) that adds the
 counts-of-counts of the p**2 sloped lines into one accumulator.  Only
 incidence_histogram picks the tally: given no strategy it applies
 default_strategy and logs the choice (the CLI's --verbose).  It refuses
-p > ENGINE_MAX_P before allocating anything, adds the vertical family
+p > ENGINE_MAX_P before allocating anything (_check_engine_prime, which
+the harness also calls before it builds a set), adds the vertical family
 (n lines x = c, c in A, each through a full column of the grid) and
 records the strategy in the histogram.
 
-slope_direct and slope_fast group work per slope and use the
+slope_fast and dense slope_direct group work per slope and use the
 inverse-slope symmetry: swapping coordinates maps A x A onto itself and
 the line y = m*x + b (m != 0) onto y = x/m - b/m, so slopes m and 1/m
 have the same multiset of incidence counts.  Each tallies one slope of
 every class {m, 1/m}, counted twice (once for the self-inverse slopes 1
-and p - 1), and adds slope 0 in closed form: n rows y = b, b in A.
+and p - 1).  Both slope strategies add slope 0 in closed form.
 Per-slope results merge by plain addition, so slopes may be processed
 in any order.  slope_direct's dense branch and slope_profile share one
 profile kernel, _profiles.  naive uses no symmetry, no closed form for
 slope 0 and no y - m*x keys: it stays the independent reference.
+
+Sparse slope_direct counts lines from the points by the paper's ratio
+equations, on the kernel of `products` (see _tally_slope_direct).  Its
+s1 identity holds by construction; s2 stays a real check.
 
 slope_fast packs k slopes into one convolution as base-(n + 1) digits:
 a profile entry never exceeds n, so the k profiles come back as the
@@ -62,12 +68,13 @@ import numpy as np
 from . import ntt
 from .errors import InvalidParameter, ModulusMismatch
 from .fieldsets import FieldSubset
+from .products import _difference_table, _run_length_counts
 
 logger = logging.getLogger(__name__)
 
 
-# Dense per-slope buffers are p entries, in every strategy; the cap keeps
-# them under ~128 MiB.
+# Per-slope buffers are p entries; the cap keeps them under ~128 MiB.
+# Every strategy is held to it, the p-free sparse slope_direct too.
 ENGINE_MAX_P = 1 << 24
 
 # Target element count per vectorized chunk of slopes; sized so chunk
@@ -224,25 +231,29 @@ def _tally_naive(A: FieldSubset, acc: np.ndarray) -> None:
         acc += np.bincount(counts.ravel(), minlength=n + 1)
 
 
-@lru_cache(maxsize=8)
-def _slope_classes(p: int) -> Tuple[Tuple[np.ndarray, int], ...]:
-    """One slope of every class {m, 1/m}, m = 1..p-1, with its weight.
-
-    Returns (paired, 2) and (self_inverse, 1): paired holds the smaller
-    slope of every class with m != 1/m, self_inverse the slopes 1 and
-    p - 1.  Inverses are m**(p-2) by vectorized square-and-multiply;
-    products stay below p**2 <= 2**48.
-    """
-    slopes = np.arange(1, p, dtype=np.intp)
-    inverse = np.ones_like(slopes)
-    base = slopes.copy()
+def _inverses(values: np.ndarray, p: int) -> np.ndarray:
+    """Inverses of nonzero residues mod p < 2**31, as values**(p-2) mod p."""
+    inverse = np.ones_like(values)
+    base = values.copy()
     e = p - 2
     while e:
         if e & 1:
             inverse = inverse * base % p
         base = base * base % p
         e >>= 1
-    paired = slopes[slopes < inverse]
+    return inverse
+
+
+@lru_cache(maxsize=8)
+def _slope_classes(p: int) -> Tuple[Tuple[np.ndarray, int], ...]:
+    """One slope of every class {m, 1/m}, m = 1..p-1, with its weight.
+
+    Returns (paired, 2) and (self_inverse, 1): paired holds the smaller
+    slope of every class with m != 1/m, self_inverse the slopes 1 and
+    p - 1.
+    """
+    slopes = np.arange(1, p, dtype=np.intp)
+    paired = slopes[slopes < _inverses(slopes, p)]
     self_inverse = np.array([1, p - 1], dtype=np.intp)
     for arr in (paired, self_inverse):
         arr.setflags(write=False)
@@ -283,45 +294,43 @@ def slope_profile(A: FieldSubset, m: int) -> np.ndarray:
 
 
 def _tally_slope_direct(A: FieldSubset, acc: np.ndarray) -> None:
-    """Tally per-slope intercept profiles by direct residue counting.
+    """Tally the sloped lines per slope (dense) or from ratio runs (sparse).
 
-    Slopes are processed in vectorized chunks that share one
-    preallocated intp key buffer.  A dense chunk reads its profiles
-    from _profiles and bincounts them.  When the field is much larger
-    than the grid (p > 2 n**2) almost all intercepts are empty, so
-    instead the reduced keys are sorted and run lengths counted,
-    keeping the cost proportional to p * n**2 rather than p**2.
+    Dense, p <= 2 n**2: chunks of slopes share one intp key buffer and
+    bincount their profiles from _profiles, about p n**2 / 2 keys.
+    Sparse: from a base point (a1, a3), a non-axis line through k >= 2
+    grid points is a run of k - 1 equal ratios (a1 - a2) / (a3 - a4),
+    seen from each of its k points, so N_k = (runs of length k - 1) / k.
+    Swapping coordinates inverts a row's ratios and keeps its runs, so
+    only a1 <= a3 is formed, weight 2 off the diagonal: about n**4 / 2
+    products whatever p is.  Each point lies on p - 1 non-axis lines,
+    so N_1 = n**2 (p - 1) - sum_{k >= 2} k N_k.
     """
     p, n = A.p, A.n
+    acc[n] += n  # slope 0: the n rows y = b, b in A
+    if p > 2 * n * n:
+        runs = np.zeros(n, dtype=np.int64)  # runs[L]: ratio runs of length L
+        if n > 1:
+            nonzero = _difference_table(A)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+            tables = nonzero, _inverses(nonzero, p)
+            diagonal = np.arange(n)
+            runs += 2 * _run_length_counts(*tables, *np.triu_indices(n, 1), p, n)
+            runs += _run_length_counts(*tables, diagonal, diagonal, p, n)
+        k = np.arange(2, n + 1)
+        lines = runs[1:] // k
+        acc[2:] += lines
+        acc[1] += n * n * (p - 1) - int((k * lines).sum())
+        return
     classes = _slope_classes(p)
-    sparse = p > 2 * n * n
     most = max(len(slopes) for slopes, _ in classes)
-    chunk = max(1, min(most, _CHUNK_TARGET // max(n * n, 1 if sparse else 2 * p)))
+    chunk = max(1, min(most, _CHUNK_TARGET // max(n * n, 2 * p)))
     elems = np.asarray(A.elements, dtype=np.intp)
     keys = np.empty((chunk, n, n), dtype=np.intp)
-    offsets = np.arange(chunk, dtype=np.intp) * p
     for slopes, weight in classes:
         for start in range(0, len(slopes), chunk):
             ms = slopes[start:start + chunk]
-            if sparse:
-                c = len(ms)
-                mx = ms[:, None] * elems[None, :] % p             # (c, n)
-                k = keys[:c]                                      # (c, n, n)
-                np.subtract(elems[None, None, :], mx[:, :, None], out=k)
-                np.remainder(k, p, out=k)
-                np.add(k, offsets[:c, None, None], out=k)
-                # Rows cover disjoint key ranges, so per-row sorting
-                # makes the flattened buffer globally sorted.
-                k.reshape(c, -1).sort(axis=1)
-                flat = k.ravel()
-                step = np.flatnonzero(flat[1:] != flat[:-1])
-                edges = np.concatenate(([-1], step, [flat.size - 1]))
-                part = np.bincount(np.diff(edges), minlength=len(acc))
-            else:
-                part = np.bincount(_profiles(elems, ms, p, keys).ravel(), minlength=len(acc))
-            # run lengths / profiles never exceed n, so nothing is truncated.
-            acc += weight * part[: len(acc)]
-    acc[n] += n  # slope 0: the n rows y = b, b in A
+            part = np.bincount(_profiles(elems, ms, p, keys).ravel(), minlength=len(acc))
+            acc += weight * part  # profiles never exceed n: part has n + 1 bins
 
 
 def _digit_capacity(n: int) -> int:
@@ -383,6 +392,12 @@ _TALLIES = {
 STRATEGIES = tuple(_TALLIES)
 
 
+def _check_engine_prime(p: int) -> None:
+    """Refuse p > ENGINE_MAX_P; callers check before building a set mod p."""
+    if p > ENGINE_MAX_P:
+        raise InvalidParameter(f"histogram strategies support p <= {ENGINE_MAX_P}")
+
+
 def incidence_histogram(A: FieldSubset, strategy: Optional[str] = None) -> IncidenceHistogram:
     """Histogram of i(line) over all p**2 + p lines of the plane."""
     p, n = A.p, A.n
@@ -391,8 +406,7 @@ def incidence_histogram(A: FieldSubset, strategy: Optional[str] = None) -> Incid
         logger.info("histogram strategy auto-selected: %s (p=%d, n=%d)", strategy, p, n)
     if strategy not in _TALLIES:
         raise InvalidParameter(f"unknown histogram strategy {strategy!r}")
-    if p > ENGINE_MAX_P:
-        raise InvalidParameter(f"histogram strategies support p <= {ENGINE_MAX_P}")
+    _check_engine_prime(p)
     if n == 0:
         return IncidenceHistogram(p, 0, {}, strategy)
     # counts-of-counts accumulator over k = 0..n; index 0 is discarded.

@@ -14,15 +14,16 @@ quantifies.  The fitted exponent reported by the census is a plain
 least-action fit of mean_support = n**2 / (ln n)**gamma and carries no
 proven meaning; it is a diagnostic only.
 
-The census runs on one batched kernel, `_product_moments`.  It takes the
-difference table D[a, b] = a - b mod p once and, for a block of base
-pairs, forms the outer products D[a1, :] x D[a3, :] mod p, sorts each
-pair's row of n**2 products, and reads the support size from the run
-starts and the second moment from the sum of squared run lengths.  A
-block holds about 2**16 products (one pair when n**2 is larger), so the
-transient arrays stay near 2 MB whatever the census size.
-`oracle.algebraic_triple_count` runs the same kernel on the nonzero
-differences and their inverses.  Arrays come from
+One batched kernel, `_product_runs`, forms for a block of base pairs the
+products of a row of each of two residue tables mod p, sorts each pair's
+row and marks its run starts.  A block holds about 2**16 products (one
+pair when a row is larger), so the transient arrays stay near 2 MB.  Two
+reductions read it: `_product_moments` takes each pair's support from
+the run starts and its second moment from the squared run lengths (the
+census on the difference table D[a, b] = a - b mod p,
+`oracle.algebraic_triple_count` on the nonzero differences against their
+inverses), and `_run_length_counts` counts runs by length over all pairs
+(`incidence`'s sparse slope_direct branch).  Arrays come from
 `fieldsets.element_array`: int64 for p < 2**31 and object (Python
 integers) above, where the products would overflow int64.
 
@@ -45,7 +46,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -103,34 +104,71 @@ def _difference_table(A: FieldSubset) -> np.ndarray:
     return (elems[:, None] - elems[None, :]) % A.p
 
 
+def _product_runs(
+    left: np.ndarray, right: np.ndarray, rows1: np.ndarray, rows3: np.ndarray, p: int
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Yield (start, stop, run_start) for each block of pairs start..stop-1.
+
+    Pair j sorts its row of products left[rows1[j], i] * right[rows3[j], k]
+    mod p over every (i, k); both residue tables need a column.
+    run_start[j - start, c] is true where that row begins a run of equal
+    products; the buffer is reused by the next block.
+    """
+    width = left.shape[1] * right.shape[1]
+    block = max(1, min(len(rows1), _BLOCK_PRODUCTS // width))
+    prods = np.empty((block, left.shape[1], right.shape[1]), np.result_type(left, right))
+    quotients = np.empty_like(prods)
+    run_start = np.ones((block, width), dtype=bool)
+    for start in range(0, len(rows1), block):
+        stop = min(start + block, len(rows1))
+        out, quot = prods[:stop - start], quotients[:stop - start]
+        np.multiply(left[rows1[start:stop], :, None], right[rows3[start:stop], None, :], out=out)
+        # x - x // p * p: numpy divides by a scalar twice as fast as it takes %.
+        out -= np.multiply(np.floor_divide(out, p, out=quot), p, out=quot)
+        row = out.reshape(stop - start, width)
+        row.sort(axis=1)
+        np.not_equal(row[:, 1:], row[:, :-1], out=run_start[:stop - start, 1:])
+        yield start, stop, run_start[:stop - start]
+
+
 def _product_moments(
     left: np.ndarray, right: np.ndarray, rows1: np.ndarray, rows3: np.ndarray, p: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Support size and second moment of each pair's product table.
 
-    Pair j tabulates left[rows1[j], i] * right[rows3[j], k] mod p over
-    every (i, k); both tables need at least one column.  Returns two
-    arrays indexed like rows1, each of the narrowest unsigned dtype that
-    holds its largest possible value: the support is at most the row
-    width of products and the second moment at most width**2.
+    Pairs are as in _product_runs.  Returns two arrays indexed like
+    rows1, each of the narrowest unsigned dtype that holds its largest
+    possible value: the support is at most the row width of products
+    and the second moment at most width**2.
     """
     width = left.shape[1] * right.shape[1]
     supports = np.empty(len(rows1), dtype=np.min_scalar_type(width))
     moments = np.empty(len(rows1), dtype=np.min_scalar_type(width * width))
-    block = max(1, _BLOCK_PRODUCTS // width)
-    for start in range(0, len(rows1), block):
-        stop = min(start + block, len(rows1))
-        lhs = left[rows1[start:stop], :, None]
-        rhs = right[rows3[start:stop], None, :]
-        prods = (lhs * rhs % p).reshape(stop - start, width)
-        prods.sort(axis=1)
-        run_start = np.ones(prods.shape, dtype=bool)
-        np.not_equal(prods[:, 1:], prods[:, :-1], out=run_start[:, 1:])
+    for start, stop, run_start in _product_runs(left, right, rows1, rows3, p):
         runs = run_start.sum(axis=1)
         lengths = np.diff(np.flatnonzero(run_start), append=run_start.size)
         supports[start:stop] = runs
         moments[start:stop] = np.add.reduceat(lengths * lengths, np.cumsum(runs) - runs)
     return supports, moments
+
+
+def _run_length_counts(
+    left: np.ndarray, right: np.ndarray, rows1: np.ndarray, rows3: np.ndarray, p: int, size: int
+) -> np.ndarray:
+    """Entry L < size counts the runs of length L over the rows of _product_runs.
+
+    On sparse ratio rows nearly every run has length 1, so only the
+    entries that repeat their left neighbour (never a row's first) are
+    grouped into the longer runs; the other entries are runs of length 1.
+    """
+    counts = np.zeros(size, dtype=np.int64)
+    for _, _, run_start in _product_runs(left, right, rows1, rows3, p):
+        repeats = np.flatnonzero(~run_start)
+        firsts = np.flatnonzero(np.diff(repeats, prepend=-2) != 1)
+        lengths = np.diff(firsts, append=len(repeats)) + 1
+        counts += np.bincount(lengths, minlength=size)
+        counts[1] += run_start.size - int(lengths.sum())
+    return counts
 
 
 class _CensusRows(Sequence):

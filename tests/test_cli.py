@@ -59,6 +59,17 @@ class TestMoments:
         assert code == EXIT_USAGE and out == ""
         assert str(2**24) in err
 
+    def test_huge_prime_exits_usage_before_building_the_set(self, capsys, monkeypatch):
+        # Unguarded, the Bernoulli generator would walk 2**61 residues.
+        def never(*args):
+            raise AssertionError("set built past ENGINE_MAX_P")
+
+        monkeypatch.setattr(gridlines.fieldsets, "gen_bernoulli", never)
+        code, out, err = run_cli(
+            capsys, "moments", "--prime", str(2**61 - 1), "--set", "bernoulli:1/2")
+        assert code == EXIT_USAGE and out == ""
+        assert str(2**24) in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "moments", "--prime", "5", "--set", "list:0,1",

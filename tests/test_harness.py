@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gridlines import harness
+from gridlines import fieldsets, harness
 from gridlines.errors import GridlinesError, InvalidParameter
 from gridlines.harness import (
     ExperimentConfig,
@@ -254,3 +254,29 @@ class TestConfigValidation:
     def test_no_primes(self):
         with pytest.raises(InvalidParameter):
             ExperimentConfig(primes=(), set_descriptor="list:1")
+
+
+class TestEnginePrimeGuard:
+    BIG = 2**61 - 1  # prime, far past incidence.ENGINE_MAX_P
+
+    @pytest.fixture
+    def no_sets(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("set built past ENGINE_MAX_P")
+
+        for name in ("from_list", "gen_bernoulli", "gen_uniform", "gen_interval",
+                     "gen_ap", "gen_gp", "gen_paper_interval"):
+            monkeypatch.setattr(fieldsets, name, never)
+
+    @pytest.mark.parametrize("run", [run_moments, run_verify, run_sweep])
+    def test_refused_before_the_set_is_built(self, no_sets, run):
+        with pytest.raises(InvalidParameter, match="p <= "):
+            run(cfg(primes=(self.BIG,), set_descriptor="bernoulli:1/2", seed=1))
+
+    def test_every_sweep_prime_is_checked_first(self, no_sets):
+        with pytest.raises(InvalidParameter, match="p <= "):
+            run_sweep(cfg(primes=(101, self.BIG), set_descriptor="bernoulli:1/2"))
+
+    def test_support_is_not_bound_by_it(self):
+        summary = run_support(cfg(primes=(self.BIG,), set_descriptor="list:0,1"))
+        assert summary.p == self.BIG and len(summary.pairs) == 4

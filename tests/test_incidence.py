@@ -1,19 +1,28 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlines import incidence, ntt
 from gridlines.errors import InvalidParameter, ModulusMismatch
-from gridlines.fieldsets import from_list, gen_full_field, gen_uniform, validate_prime
+from gridlines.fieldsets import (
+    from_list,
+    gen_full_field,
+    gen_uniform,
+    parse_set_descriptor,
+    validate_prime,
+)
 from gridlines.incidence import (
     STRATEGIES,
     IncidenceHistogram,
     Sloped,
     Vertical,
     _digit_capacity,
+    _profiles,
     all_lines,
     default_strategy,
     incidence_count,
@@ -243,6 +252,116 @@ class TestNaive:
             monkeypatch.setitem(incidence._TALLIES, strategy, never)
             with pytest.raises(InvalidParameter):
                 incidence_histogram(A, strategy)
+
+
+def profile_counts(A):
+    """The histogram from _profiles over every slope 0..p-1, no symmetry used."""
+    p, n = A.p, A.n
+    elems = np.asarray(A.elements, dtype=np.intp)
+    acc = np.zeros(n + 1, dtype=np.int64)
+    chunk = 64
+    keys = np.empty((chunk, n, n), dtype=np.intp)
+    for start in range(0, p, chunk):
+        slopes = np.arange(start, min(start + chunk, p), dtype=np.intp)
+        acc += np.bincount(_profiles(elems, slopes, p, keys).ravel(), minlength=n + 1)
+    acc[n] += n  # the vertical family
+    return {k: int(acc[k]) for k in range(1, n + 1) if acc[k]}
+
+
+def sparse_counts(A):
+    """slope_direct's histogram of a set in its sparse regime, p > 2 n**2."""
+    assert A.p > 2 * A.n**2
+    return incidence_histogram(A, "slope_direct").counts
+
+
+RATIO_PRIMES = [17, 19, 23, 29, 31, 37, 53, 73, 101, 127, 163, 211]
+
+
+class TestSparseRatioBranch:
+    """slope_direct for p > 2 n**2, which counts lines from runs of equal ratios."""
+
+    @pytest.mark.parametrize("p", NAIVE_PRIMES)
+    def test_matches_naive_on_every_sparse_set(self, p):
+        m = validate_prime(p)
+        for n in range(1, p):
+            if 2 * n * n >= p:
+                break
+            for elements in combinations(range(p), n):
+                A = from_list(m, elements)
+                assert sparse_counts(A) == incidence_histogram(A, "naive").counts, elements
+
+    def test_matches_naive_at_the_threshold(self):
+        # p = 2 n**2 + 1 is the smallest sparse prime at n = 3.
+        m = validate_prime(19)
+        for elements in combinations(range(19), 3):
+            A = from_list(m, elements)
+            assert sparse_counts(A) == incidence_histogram(A, "naive").counts, elements
+
+    @pytest.mark.parametrize("p, n, sparse", [(19, 3, True), (17, 3, False), (13, 2, True),
+                                              (7, 2, False), (3, 1, True)])
+    def test_branch_threshold(self, monkeypatch, p, n, sparse):
+        calls = []
+        original = incidence._run_length_counts
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(incidence, "_run_length_counts", counting)
+        A = gen_uniform(validate_prime(p), n, seed=p)
+        assert incidence_histogram(A, "slope_direct").counts == \
+            incidence_histogram(A, "naive").counts
+        assert bool(calls) == (sparse and n > 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(RATIO_PRIMES), st.integers(0, 2**32 - 1))
+    def test_matches_naive_on_random_sparse_sets(self, p, seed):
+        rng = SplitMix64(seed)
+        n = 1 + rng.below(int(((p - 1) / 2) ** 0.5))
+        A = gen_uniform(validate_prime(p), n, seed=rng.next_u64())
+        assert sparse_counts(A) == incidence_histogram(A, "naive").counts
+
+    @pytest.mark.parametrize("p", [11, 101, 10007, 40009])
+    def test_one_and_two_points(self, p):
+        m = validate_prime(p)
+        assert sparse_counts(from_list(m, [p - 1])) == {1: p + 1}
+        # Two rows, two columns and two diagonals meet the 2 x 2 grid
+        # in 2 points; the other lines through its 4 points in 1.
+        assert sparse_counts(from_list(m, [0, p // 2])) == {2: 6, 1: 4 * p - 8}
+
+    @pytest.mark.parametrize("p, descriptors", [
+        (2003, ["interval:0:31", "ap:5:17:31", "gp:1:3:31"]),
+        (4001, ["interval:7:44", "ap:5:17:44", "gp:1:3:44"]),
+    ])
+    def test_structured_sets_match_slope_fast_and_profiles(self, p, descriptors):
+        m = validate_prime(p)
+        for descriptor in descriptors:
+            A = parse_set_descriptor(descriptor).realize(m)
+            counts = sparse_counts(A)
+            # Beyond the 2n axis lines, lines through 3 or more points.
+            assert sum(c for k, c in counts.items() if k >= 3) > 2 * A.n, descriptor
+            assert counts == incidence_histogram(A, "slope_fast").counts, descriptor
+            assert counts == profile_counts(A), descriptor
+
+    @pytest.mark.parametrize("descriptor", ["interval:3:70", "ap:1:99:70", "gp:2:5:70"])
+    def test_structured_sets_match_profiles_at_large_p(self, descriptor):
+        A = parse_set_descriptor(descriptor).realize(validate_prime(10007))
+        counts = sparse_counts(A)
+        assert sum(c for k, c in counts.items() if k >= 3) > 2 * A.n
+        assert counts == profile_counts(A)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([1009, 2003, 10007, 40009]), st.integers(0, 2**32 - 1))
+    def test_second_moment_identity(self, p, seed):
+        # Every ordered pair of distinct grid points lies on one line; the
+        # first moment holds by construction here.
+        rng = SplitMix64(seed)
+        n = 2 + rng.below(min(40, int((p / 2) ** 0.5)) - 1)
+        A = gen_uniform(validate_prime(p), n, seed=rng.next_u64())
+        assert A.p > 2 * n * n
+        ms = moments(incidence_histogram(A, "slope_direct"))
+        assert ms.s1 == (p + 1) * n * n
+        assert ms.s2 == n**4 + p * n * n
 
 
 class TestMoments:

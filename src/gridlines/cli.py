@@ -35,24 +35,26 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _add_common(sp: argparse.ArgumentParser, multi_prime: bool = False) -> None:
+def _add_common(sp: argparse.ArgumentParser, multi_prime: bool = False,
+                histogram: bool = True) -> None:
     if multi_prime:
         sp.add_argument("--primes", required=True,
-                        help="comma-separated list of odd primes")
+                        help="comma-separated list of distinct odd primes")
     else:
         sp.add_argument("--prime", "-p", type=int, required=True,
                         help="odd prime modulus")
     sp.add_argument("--set", required=True, dest="set_descriptor",
                     help="set descriptor, e.g. list:0,1 or bernoulli:0.3:42")
-    sp.add_argument("--strategy", choices=STRATEGIES,
-                    default=None, help="histogram strategy (default: auto)")
+    if histogram:  # the census builds no histogram and times nothing
+        sp.add_argument("--strategy", choices=STRATEGIES,
+                        default=None, help="histogram strategy (default: auto)")
+        sp.add_argument("--timings", action="store_true",
+                        help="include wall-clock timings (breaks byte-reproducibility)")
     sp.add_argument("--seed", type=int, default=0,
                     help="base seed for random families (default 0)")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--format", choices=["json", "csv"], default="json",
                     dest="fmt", help="output format")
-    sp.add_argument("--timings", action="store_true",
-                    help="include wall-clock timings (breaks byte-reproducibility)")
     sp.add_argument("--verbose", action="store_true", help="log strategy choices")
 
 
@@ -83,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="parallel worker processes (default 1)")
 
     sp = sub.add_parser("support", help="product-representation support census")
-    _add_common(sp)
+    _add_common(sp, histogram=False)
     sp.add_argument("--sample", type=int, default=None,
                     help="census only this many sampled base pairs")
     return parser
@@ -100,14 +102,14 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         primes=primes,
         set_descriptor=args.set_descriptor,
-        strategy=args.strategy,
+        strategy=getattr(args, "strategy", None),
         trials=getattr(args, "trials", 1),
         seed=args.seed,
         threads=getattr(args, "threads", 1),
         t_cap=getattr(args, "t_cap", oracle.T_BRUTE_CAP),
         q_cap=getattr(args, "q_cap", oracle.Q_BRUTE_CAP),
         alg_cap=getattr(args, "alg_cap", oracle.ALGEBRAIC_CAP),
-        timings=args.timings,
+        timings=getattr(args, "timings", False),
         inject_fault=getattr(args, "inject_fault", False),
     )
 

@@ -15,6 +15,13 @@ built.  Provenance strings use the same grammar the CLI accepts:
 Q may be a decimal ("0.3") or a fraction ("3/10"); it is handled as an
 exact rational.  SEED is optional for the random families; when omitted,
 the run-level seed supplied by the harness is used.
+
+Each generated family is one row of _FAMILIES, which both the parser and
+SetSpec.realize read.  realize refuses a set whose generator would visit
+more than SET_BUDGET = 2**24 residues before building it: bernoulli
+visits all p, uniform:N visits N (p past p/2, where it keeps the
+complement), interval, ap and gp their length capped at p, and
+paper-interval its isqrt(p) // 2 elements.
 """
 
 from __future__ import annotations
@@ -22,8 +29,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +55,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Residues drawn per block when materializing Bernoulli sets.
 _BERNOULLI_CHUNK = 1 << 20
+
+# Most residues a generator may visit, checked before it runs: the
+# largest field any histogram accepts (incidence.ENGINE_MAX_P).
+SET_BUDGET = 1 << 24
 
 
 def _is_prime(n: int) -> bool:
@@ -159,25 +171,21 @@ def gen_bernoulli(m: PrimeModulus, q, seed: int) -> FieldSubset:
     p = m.p
     threshold = (q.numerator << 64) // q.denominator
     elems = []
-    chunk = _BERNOULLI_CHUNK
-    for start in range(0, p, chunk):
-        count = min(chunk, p - start)
+    for start in range(0, p, _BERNOULLI_CHUNK):
+        count = min(_BERNOULLI_CHUNK, p - start)
         if threshold > MASK64:
             elems.extend(range(start, start + count))
         else:
             draws = splitmix64_stream(seed, count, offset=start)
             kept = np.flatnonzero(draws < np.uint64(threshold))
             elems.extend(int(start + i) for i in kept)
-    prov = f"bernoulli:{_fmt_density(q)}:{seed}"
-    return FieldSubset(m, tuple(elems), prov)
+    return FieldSubset(m, tuple(elems), f"bernoulli:{_fmt_density(q)}:{seed}")
 
 
 def _fmt_density(q: Fraction) -> str:
     # Prefer the short decimal form when exact, else num/den.
     f = float(q)
-    if Fraction(str(f)) == q:
-        return str(f)
-    return f"{q.numerator}/{q.denominator}"
+    return str(f) if Fraction(str(f)) == q else f"{q.numerator}/{q.denominator}"
 
 
 def gen_uniform(m: PrimeModulus, n: int, seed: int) -> FieldSubset:
@@ -196,20 +204,21 @@ def gen_uniform(m: PrimeModulus, n: int, seed: int) -> FieldSubset:
     chosen = set()
     while len(chosen) < k:
         chosen.add(rng.below(p))
-    if k != n:
-        elems = tuple(x for x in range(p) if x not in chosen)
-    else:
-        elems = tuple(sorted(chosen))
-    return FieldSubset(m, elems, f"uniform:{n}:{seed}")
+    elems = sorted(chosen) if k == n else (x for x in range(p) if x not in chosen)
+    return FieldSubset(m, tuple(elems), f"uniform:{n}:{seed}")
+
+
+def _check_length(length: int, p: int, what: str) -> None:
+    if length < 1:
+        raise DegenerateSet(f"{what} length must be at least 1")
+    if length > p:
+        raise LengthExceedsField(f"length {length} exceeds field size {p}")
 
 
 def gen_interval(m: PrimeModulus, start: int, length: int) -> FieldSubset:
     """{start, start+1, ..., start+length-1} reduced mod p."""
     p = m.p
-    if length < 1:
-        raise DegenerateSet("interval length must be at least 1")
-    if length > p:
-        raise LengthExceedsField(f"length {length} exceeds field size {p}")
+    _check_length(length, p, "interval")
     items = [(start + i) % p for i in range(length)]
     return _canonical(m, items, f"interval:{start % p}:{length}")
 
@@ -217,10 +226,7 @@ def gen_interval(m: PrimeModulus, start: int, length: int) -> FieldSubset:
 def gen_ap(m: PrimeModulus, start: int, step: int, length: int) -> FieldSubset:
     """Arithmetic progression start + i*step mod p, i < length."""
     p = m.p
-    if length < 1:
-        raise DegenerateSet("progression length must be at least 1")
-    if length > p:
-        raise LengthExceedsField(f"length {length} exceeds field size {p}")
+    _check_length(length, p, "progression")
     if step % p == 0 and length > 1:
         raise DuplicateElement("step 0 repeats the start element")
     items = [(start + i * step) % p for i in range(length)]
@@ -235,19 +241,12 @@ def gen_gp(m: PrimeModulus, start: int, ratio: int, length: int) -> FieldSubset:
     DuplicateElement.
     """
     p = m.p
-    if length < 1:
-        raise DegenerateSet("progression length must be at least 1")
-    if length > p:
-        raise LengthExceedsField(f"length {length} exceeds field size {p}")
+    _check_length(length, p, "progression")
     if ratio % p in (0, 1):
         raise InvalidParameter("gp ratio must differ from 0 and 1 mod p")
     if start % p == 0:
         raise InvalidParameter("gp start must be nonzero mod p")
-    items = []
-    x = start % p
-    for _ in range(length):
-        items.append(x)
-        x = x * ratio % p
+    items = accumulate(range(length - 1), lambda x, _: x * ratio % p, initial=start % p)
     return _canonical(m, items, f"gp:{start % p}:{ratio % p}:{length}")
 
 
@@ -261,7 +260,25 @@ def gen_paper_interval(m: PrimeModulus) -> FieldSubset:
 
 def gen_full_field(m: PrimeModulus) -> FieldSubset:
     """A = the whole field (the interval of length p)."""
-    return FieldSubset(m, tuple(range(m.p)), f"interval:0:{m.p}")
+    return gen_interval(m, 0, m.p)
+
+
+class _Family(NamedTuple):
+    generator: str              # gen_* name, looked up when a set is built
+    params: Tuple[str, ...]     # as in the grammar; Q is a density, the rest integers
+    visits: Callable[..., int]  # (p, *params) -> residues the generator walks
+    seeded: bool = False        # takes an optional trailing SEED
+
+
+# The one table of the generated families; `list` is parsed on its own.
+_FAMILIES = {
+    "bernoulli": _Family("gen_bernoulli", ("Q",), lambda p, q: p, seeded=True),
+    "uniform": _Family("gen_uniform", ("N",), lambda p, n: p if 2 * n > p else n, seeded=True),
+    "interval": _Family("gen_interval", ("START", "LEN"), lambda p, *a: min(a[-1], p)),
+    "ap": _Family("gen_ap", ("START", "STEP", "LEN"), lambda p, *a: min(a[-1], p)),
+    "gp": _Family("gen_gp", ("START", "RATIO", "LEN"), lambda p, *a: min(a[-1], p)),
+    "paper-interval": _Family("gen_paper_interval", (), lambda p: isqrt(p) // 2),
+}
 
 
 @dataclass(frozen=True)
@@ -276,38 +293,32 @@ class SetSpec:
     params: tuple
     seed: Optional[int] = None
 
-    @property
-    def is_random(self) -> bool:
-        return self.family in ("bernoulli", "uniform")
-
     def realize(self, m: PrimeModulus, seed: Optional[int] = None) -> FieldSubset:
-        eff_seed = self.seed if self.seed is not None else seed
-        if self.is_random and eff_seed is None:
-            raise InvalidParameter(
-                f"family '{self.family}' needs a seed (give one in the "
-                "descriptor or via --seed)")
         if self.family == "list":
             return from_list(m, list(self.params))
-        if self.family == "bernoulli":
-            return gen_bernoulli(m, self.params[0], eff_seed)
-        if self.family == "uniform":
-            return gen_uniform(m, self.params[0], eff_seed)
-        if self.family == "interval":
-            return gen_interval(m, *self.params)
-        if self.family == "ap":
-            return gen_ap(m, *self.params)
-        if self.family == "gp":
-            return gen_gp(m, *self.params)
-        if self.family == "paper-interval":
-            return gen_paper_interval(m)
-        raise DescriptorError(f"unknown family '{self.family}'")
+        family = _FAMILIES.get(self.family)
+        if family is None:
+            raise DescriptorError(f"unknown family '{self.family}'")
+        args = self.params
+        if family.seeded:
+            args += (self.seed if self.seed is not None else seed,)
+            if args[-1] is None:
+                raise InvalidParameter(f"family '{self.family}' needs a seed (give one "
+                                       "in the descriptor or via --seed)")
+        visits = family.visits(m.p, *self.params)
+        if visits > SET_BUDGET:
+            raise InvalidParameter(
+                f"{self.family} set would visit {visits} residues mod {m.p}, "
+                f"over the set budget of {SET_BUDGET}")
+        return globals()[family.generator](m, *args)
 
 
-def _int_token(tok: str, what: str) -> int:
+def _token(tok: str, name: str):
+    """One descriptor token: Q is an exact density, every other name an integer."""
     try:
-        return int(tok, 10)
-    except ValueError:
-        raise DescriptorError(f"bad {what} token {tok!r}: not an integer") from None
+        return Fraction(tok) if name == "Q" else int(tok, 10)
+    except (ValueError, ZeroDivisionError):
+        raise DescriptorError(f"bad {name} token {tok!r}") from None
 
 
 def parse_set_descriptor(text: str) -> SetSpec:
@@ -316,42 +327,17 @@ def parse_set_descriptor(text: str) -> SetSpec:
     if not text:
         raise DescriptorError("empty set descriptor")
     head, _, rest = text.partition(":")
-    if head == "paper-interval":
-        if rest:
-            raise DescriptorError(f"paper-interval takes no arguments, got {rest!r}")
-        return SetSpec("paper-interval", ())
     if head == "list":
         if not rest:
             raise DescriptorError("list: needs at least one element")
-        items = tuple(_int_token(t, "element") for t in rest.split(","))
-        return SetSpec("list", items)
+        return SetSpec("list", tuple(_token(t, "element") for t in rest.split(",")))
+    family = _FAMILIES.get(head)
+    if family is None:
+        raise DescriptorError(f"unknown set family {head!r}")
     parts = rest.split(":") if rest else []
-    if head == "bernoulli":
-        if len(parts) not in (1, 2):
-            raise DescriptorError(f"bernoulli takes Q[:SEED], got {text!r}")
-        try:
-            q = Fraction(parts[0])
-        except (ValueError, ZeroDivisionError):
-            raise DescriptorError(f"bad density token {parts[0]!r}") from None
-        seed = _int_token(parts[1], "seed") if len(parts) == 2 else None
-        return SetSpec("bernoulli", (q,), seed)
-    if head == "uniform":
-        if len(parts) not in (1, 2):
-            raise DescriptorError(f"uniform takes N[:SEED], got {text!r}")
-        size = _int_token(parts[0], "size")
-        seed = _int_token(parts[1], "seed") if len(parts) == 2 else None
-        return SetSpec("uniform", (size,), seed)
-    if head == "interval":
-        if len(parts) != 2:
-            raise DescriptorError(f"interval takes START:LEN, got {text!r}")
-        return SetSpec("interval", (_int_token(parts[0], "start"),
-                                    _int_token(parts[1], "length")))
-    if head == "ap":
-        if len(parts) != 3:
-            raise DescriptorError(f"ap takes START:STEP:LEN, got {text!r}")
-        return SetSpec("ap", tuple(_int_token(t, "ap parameter") for t in parts))
-    if head == "gp":
-        if len(parts) != 3:
-            raise DescriptorError(f"gp takes START:RATIO:LEN, got {text!r}")
-        return SetSpec("gp", tuple(_int_token(t, "gp parameter") for t in parts))
-    raise DescriptorError(f"unknown set family {head!r}")
+    names = family.params + ("SEED",) * family.seeded
+    if not len(family.params) <= len(parts) <= len(names):
+        usage = ":".join(family.params) + "[:SEED]" * family.seeded
+        raise DescriptorError(f"{head} takes {usage or 'no arguments'}, got {text!r}")
+    values = tuple(map(_token, parts, names))
+    return SetSpec(head, values[:len(family.params)], *values[len(family.params):])

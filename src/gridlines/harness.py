@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from . import oracle
 from .bounds import VerificationReport, render_fraction, root_fraction, verify_histogram
 from .errors import GridlinesError, InvalidParameter
-from .fieldsets import FieldSubset, SetSpec, parse_set_descriptor, validate_prime
+from .fieldsets import FieldSubset, parse_set_descriptor, validate_prime
 from .incidence import IncidenceHistogram, _check_engine_prime, incidence_histogram, moments
 from .products import support_census
 from .rng import trial_seed
@@ -64,17 +64,15 @@ class ExperimentConfig:
             raise InvalidParameter("threads must be at least 1")
         if not self.primes:
             raise InvalidParameter("at least one prime is required")
-
-    @property
-    def spec(self) -> SetSpec:
-        return parse_set_descriptor(self.set_descriptor)
+        if len(set(self.primes)) != len(self.primes):
+            raise InvalidParameter(f"primes must be distinct, got {list(self.primes)}")
 
 
 def _single_prime(cfg: ExperimentConfig, command: str) -> Tuple[FieldSubset, int]:
     """The subset of a one-prime run and the seed that built it."""
     if len(cfg.primes) != 1:
         raise InvalidParameter(f"{command} runs on exactly one prime")
-    spec = cfg.spec
+    spec = parse_set_descriptor(cfg.set_descriptor)
     modulus = validate_prime(cfg.primes[0])
     if command != "support":  # refuse before building; the census has its own budget
         _check_engine_prime(modulus.p)
@@ -253,7 +251,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Run trials for every prime; abort on the first failed trial."""
     for prime in cfg.primes:
         _check_engine_prime(validate_prime(prime).p)
-    cfg.spec  # fail early on a bad descriptor
+    parse_set_descriptor(cfg.set_descriptor)  # fail early on a bad descriptor
     tasks = [
         (cfg.set_descriptor, cfg.strategy, cfg.seed, prime, trial)
         for prime in cfg.primes

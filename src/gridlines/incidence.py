@@ -68,7 +68,7 @@ import numpy as np
 from . import ntt
 from .errors import InvalidParameter, ModulusMismatch
 from .fieldsets import FieldSubset
-from .products import _difference_table, _run_length_counts
+from .products import _inverses, _ratio_tables, _run_length_counts
 
 logger = logging.getLogger(__name__)
 
@@ -231,19 +231,6 @@ def _tally_naive(A: FieldSubset, acc: np.ndarray) -> None:
         acc += np.bincount(counts.ravel(), minlength=n + 1)
 
 
-def _inverses(values: np.ndarray, p: int) -> np.ndarray:
-    """Inverses of nonzero residues mod p < 2**31, as values**(p-2) mod p."""
-    inverse = np.ones_like(values)
-    base = values.copy()
-    e = p - 2
-    while e:
-        if e & 1:
-            inverse = inverse * base % p
-        base = base * base % p
-        e >>= 1
-    return inverse
-
-
 @lru_cache(maxsize=8)
 def _slope_classes(p: int) -> Tuple[Tuple[np.ndarray, int], ...]:
     """One slope of every class {m, 1/m}, m = 1..p-1, with its weight.
@@ -286,8 +273,7 @@ def slope_profile(A: FieldSubset, m: int) -> np.ndarray:
     """
     p, n = A.p, A.n
     _check_coeff(m, p, "slope")
-    if p > ENGINE_MAX_P:
-        raise InvalidParameter(f"slope_profile supports p <= {ENGINE_MAX_P}")
+    _check_engine_prime(p)
     elems = np.asarray(A.elements, dtype=np.intp)
     keys = np.empty((1, n, n), dtype=np.intp)
     return _profiles(elems, np.array([m], dtype=np.intp), p, keys)[0]
@@ -311,8 +297,7 @@ def _tally_slope_direct(A: FieldSubset, acc: np.ndarray) -> None:
     if p > 2 * n * n:
         runs = np.zeros(n, dtype=np.int64)  # runs[L]: ratio runs of length L
         if n > 1:
-            nonzero = _difference_table(A)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-            tables = nonzero, _inverses(nonzero, p)
+            tables = _ratio_tables(A)
             diagonal = np.arange(n)
             runs += 2 * _run_length_counts(*tables, *np.triu_indices(n, 1), p, n)
             runs += _run_length_counts(*tables, diagonal, diagonal, p, n)

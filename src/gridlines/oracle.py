@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .fieldsets import FieldSubset, element_array
-from .products import _difference_table, _product_moments
+from .products import _product_moments, _ratio_tables
 
 T_BRUTE_CAP = 8
 Q_BRUTE_CAP = 6
@@ -112,9 +112,8 @@ def algebraic_triple_count(A: FieldSubset, cap: int = ALGEBRAIC_CAP) -> int:
     Grouping by (a1, a3) and tabulating the ratio over (a2, a4) pairs
     makes this about n**4 products: the tuple count is the sum over
     ratios r of (number of pairs hitting r) squared, i.e. the sum of the
-    second moments that the census kernel `products._product_moments`
-    reads from the nonzero differences a1 - a2 against the inverses of
-    the nonzero differences a3 - a4.
+    second moments `products._product_moments` reads from the ratio
+    tables `products._ratio_tables`.
 
     `harness.run_verify` reconciles it with the engine's triple count as
     delta = s3 - 2*n**4 - count, which removes the two axis-parallel line
@@ -125,9 +124,6 @@ def algebraic_triple_count(A: FieldSubset, cap: int = ALGEBRAIC_CAP) -> int:
         raise CapExceeded(f"algebraic_triple_count: n = {n} exceeds cap {cap}")
     if n < 2:
         return 0
-    nonzero = _difference_table(A)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    inverses = np.array(
-        [[pow(d, -1, p) for d in row] for row in nonzero.tolist()], dtype=nonzero.dtype)
     pairs = np.arange(n * n)
-    _, m2 = _product_moments(nonzero, inverses, pairs // n, pairs % n, p)
+    _, m2 = _product_moments(*_ratio_tables(A), pairs // n, pairs % n, p)
     return int(m2.sum())

@@ -19,11 +19,11 @@ products of a row of each of two residue tables mod p, sorts each pair's
 row and marks its run starts.  A block holds about 2**16 products (one
 pair when a row is larger), so the transient arrays stay near 2 MB.  Two
 reductions read it: `_product_moments` takes each pair's support from
-the run starts and its second moment from the squared run lengths (the
-census on the difference table D[a, b] = a - b mod p,
-`oracle.algebraic_triple_count` on the nonzero differences against their
-inverses), and `_run_length_counts` counts runs by length over all pairs
-(`incidence`'s sparse slope_direct branch).  Arrays come from
+the run starts and its second moment from the squared run lengths, and
+`_run_length_counts` counts runs by length over all pairs.  The census
+reads the difference table D[a, b] = a - b mod p; `oracle`'s algebraic
+count and `incidence`'s sparse slope_direct read `_ratio_tables`, whose
+pairs are the ratios (a1 - a2) / (a3 - a4).  Arrays come from
 `fieldsets.element_array`: int64 for p < 2**31 and object (Python
 integers) above, where the products would overflow int64.
 
@@ -102,6 +102,28 @@ def _difference_table(A: FieldSubset) -> np.ndarray:
     """D[a, b] = a - b mod p over the elements of A, shape (n, n)."""
     elems = element_array(A)
     return (elems[:, None] - elems[None, :]) % A.p
+
+
+def _inverses(values: np.ndarray, p: int) -> np.ndarray:
+    """Inverses of nonzero residues mod p, as values**(p-2) mod p: any p for
+    object arrays, p < 2**31 for int64, as element_array gives them."""
+    inverse = np.ones_like(values)
+    base = values.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            inverse = inverse * base % p
+        base = base * base % p
+        e >>= 1
+    return inverse
+
+
+def _ratio_tables(A: FieldSubset) -> Tuple[np.ndarray, np.ndarray]:
+    """Row a of the nonzero differences a - b and of their inverses, shape
+    (n, n - 1): rows a1 and a3 give the ratios (a1 - a2) / (a3 - a4)."""
+    n = A.n
+    nonzero = _difference_table(A)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    return nonzero, _inverses(nonzero, A.p)
 
 
 def _product_runs(

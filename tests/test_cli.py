@@ -68,7 +68,7 @@ class TestMoments:
         code, out, err = run_cli(
             capsys, "moments", "--prime", str(2**61 - 1), "--set", "bernoulli:1/2")
         assert code == EXIT_USAGE and out == ""
-        assert str(2**24) in err
+        assert f"p <= {2**24}" in err  # the prime guard's refusal, not the set budget's
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -273,3 +273,37 @@ class TestVerbose:
         logged = [line for line in proc.stderr.splitlines()
                   if "histogram strategy auto-selected: slope_direct" in line]
         assert len(logged) == builds
+
+
+class TestSupportOptions:
+    @pytest.mark.parametrize("option", [["--strategy", "naive"], ["--timings"]])
+    def test_histogram_options_are_usage_errors(self, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["support", "--prime", "101", "--set", "uniform:10:1", *option])
+        assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", [
+        "bernoulli:1/2", "paper-interval", "uniform:2000000000000000000",
+        f"interval:0:{2**40}",
+    ])
+    def test_oversized_sets_exit_2_at_mersenne_61(self, capsys, monkeypatch, text):
+        def never(*args):
+            raise AssertionError("set built past the set budget")
+
+        for name in ("gen_bernoulli", "gen_uniform", "gen_interval", "gen_paper_interval"):
+            monkeypatch.setattr(gridlines.fieldsets, name, never)
+        code, out, err = run_cli(capsys, "support", "--prime", str(2**61 - 1), "--set", text)
+        assert code == EXIT_USAGE and out == ""
+        assert "over the set budget" in err
+
+    def test_a_set_that_fits_still_runs_at_mersenne_61(self, capsys):
+        code, out, _ = run_cli(capsys, "support", "--prime", str(2**61 - 1),
+                               "--set", "uniform:30:7", "--sample", "1")
+        assert code == EXIT_OK and json.loads(out)["n"] == 30
+
+
+def test_repeated_sweep_primes_exit_2(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--primes", "101,101", "--set", "bernoulli:0.3",
+                             "--format", "csv")
+    assert code == EXIT_USAGE and out == ""
+    assert "distinct" in err

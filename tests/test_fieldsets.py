@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridlines import fieldsets
 from gridlines.errors import (
     DegenerateSet,
     DescriptorError,
@@ -272,3 +274,134 @@ class TestDescriptorGrammar:
             A = parse_set_descriptor(text).realize(m)
             B = parse_set_descriptor(A.provenance).realize(m)
             assert A.elements == B.elements
+
+
+class TestFamilyTablePins:
+    """One descriptor per family, pinned from the per-family parser it replaced."""
+
+    @pytest.mark.parametrize(
+        "text,spec,elements,provenance",
+        [
+            ("list:5,1,3", ("list", (5, 1, 3), None), (1, 3, 5), "list:1,3,5"),
+            ("bernoulli:1/20:7", ("bernoulli", (Fraction(1, 20),), 7),
+             (1, 44, 71, 84), "bernoulli:0.05:7"),
+            ("uniform:6:9", ("uniform", (6,), 9),
+             (19, 28, 37, 59, 61, 76), "uniform:6:9"),
+            ("uniform:97:2", ("uniform", (97,), 2),
+             tuple(x for x in range(101) if x not in (0, 22, 30, 43)), "uniform:97:2"),
+            ("interval:99:4", ("interval", (99, 4), None), (0, 1, 99, 100), "interval:99:4"),
+            ("ap:3:10:5", ("ap", (3, 10, 5), None), (3, 13, 23, 33, 43), "ap:3:10:5"),
+            ("gp:2:3:6", ("gp", (2, 3, 6), None), (2, 6, 18, 54, 61, 82), "gp:2:3:6"),
+            ("paper-interval", ("paper-interval", (), None), (1, 2, 3, 4, 5), "paper-interval"),
+        ],
+    )
+    def test_spec_elements_and_provenance(self, text, spec, elements, provenance):
+        parsed = parse_set_descriptor(text)
+        assert (parsed.family, parsed.params, parsed.seed) == spec
+        A = parsed.realize(validate_prime(101))
+        assert A.elements == elements
+        assert A.provenance == provenance
+
+    @pytest.mark.parametrize(
+        "text,usage",
+        [
+            ("bernoulli:1:2:3", "Q[:SEED]"),
+            ("bernoulli:", "Q[:SEED]"),
+            ("uniform:1:2:3", "N[:SEED]"),
+            ("interval:1", "START:LEN"),
+            ("ap:1:2", "START:STEP:LEN"),
+            ("gp:1:2", "START:RATIO:LEN"),
+            ("paper-interval:3", "no arguments"),
+        ],
+    )
+    def test_arity_error_names_the_family_and_its_usage(self, text, usage):
+        family = text.partition(":")[0]
+        with pytest.raises(DescriptorError, match=f"^{family} takes ") as err:
+            parse_set_descriptor(text)
+        assert usage in str(err.value)
+
+    @pytest.mark.parametrize("text", ["list", "list:"])
+    def test_empty_list(self, text):
+        with pytest.raises(DescriptorError, match="at least one element"):
+            parse_set_descriptor(text)
+
+    def test_full_field_is_the_interval_of_length_p(self):
+        A = gen_full_field(validate_prime(5))
+        assert A.elements == (0, 1, 2, 3, 4) and A.provenance == "interval:0:5"
+
+
+class TestSetBudget:
+    """realize sizes each family before it calls the generator."""
+
+    MERSENNE_61 = 2**61 - 1
+
+    @pytest.fixture
+    def no_generators(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("generator called past the set budget")
+
+        for name in ("from_list", "gen_bernoulli", "gen_uniform", "gen_interval", "gen_ap",
+                     "gen_gp", "gen_paper_interval"):
+            monkeypatch.setattr(fieldsets, name, never)
+
+    @pytest.fixture
+    def budget_10(self, monkeypatch):
+        monkeypatch.setattr(fieldsets, "SET_BUDGET", 10)
+
+    @pytest.mark.parametrize("family", ["interval:0:{}", "ap:1:3:{}", "gp:1:3:{}"])
+    def test_length_at_the_budget_builds_and_one_past_is_refused(self, budget_10, family):
+        m = validate_prime(101)
+        assert parse_set_descriptor(family.format(10)).realize(m).n == 10
+        with pytest.raises(InvalidParameter, match="set budget of 10"):
+            parse_set_descriptor(family.format(11)).realize(m)
+
+    def test_uniform_visits_its_size_then_the_whole_field(self, budget_10):
+        m = validate_prime(13)
+        assert parse_set_descriptor("uniform:6:1").realize(m).n == 6
+        # 2 * 7 > 13: the generator walks all 13 residues to keep a complement.
+        with pytest.raises(InvalidParameter, match="visit 13 residues"):
+            parse_set_descriptor("uniform:7:1").realize(m)
+
+    def test_bernoulli_visits_every_residue(self, budget_10):
+        assert parse_set_descriptor("bernoulli:1:0").realize(validate_prime(7)).n == 7
+        with pytest.raises(InvalidParameter, match="visit 11 residues"):
+            parse_set_descriptor("bernoulli:1/2:3").realize(validate_prime(11))
+
+    def test_paper_interval_visits_its_elements(self, budget_10):
+        assert parse_set_descriptor("paper-interval").realize(validate_prime(443)).n == 10
+        with pytest.raises(InvalidParameter, match="visit 11 residues"):
+            parse_set_descriptor("paper-interval").realize(validate_prime(487))
+
+    def test_length_past_p_is_still_the_generators_error(self, budget_10):
+        # The length is capped at p = 7 < 10, so the generator reports it.
+        with pytest.raises(LengthExceedsField):
+            parse_set_descriptor("interval:0:11").realize(validate_prime(7))
+        with pytest.raises(LengthExceedsField):
+            parse_set_descriptor("uniform:11:1").realize(validate_prime(7))
+
+    def test_length_past_p_and_past_the_budget(self):
+        with pytest.raises(LengthExceedsField):
+            parse_set_descriptor(f"interval:0:{2**25}").realize(validate_prime(101))
+
+    @pytest.mark.parametrize("text", [
+        "bernoulli:1/2:1",
+        "paper-interval",
+        "uniform:2000000000000000000:1",
+        f"interval:0:{2**40}",
+        "interval:0:100000000000",
+        f"ap:1:2:{2**30}",
+        f"gp:2:3:{2**30}",
+    ])
+    def test_oversized_sets_are_refused_unbuilt(self, no_generators, text):
+        with pytest.raises(InvalidParameter, match="over the set budget"):
+            parse_set_descriptor(text).realize(validate_prime(self.MERSENNE_61))
+
+    def test_sets_that_fit_still_build_at_mersenne_61(self):
+        m = validate_prime(self.MERSENNE_61)
+        assert parse_set_descriptor("uniform:30:7").realize(m).n == 30
+        assert parse_set_descriptor("list:0,1").realize(m).elements == (0, 1)
+        assert parse_set_descriptor("interval:5:3").realize(m).elements == (5, 6, 7)
+
+    def test_every_family_row_names_a_generator(self):
+        for row in fieldsets._FAMILIES.values():
+            assert callable(getattr(fieldsets, row.generator))

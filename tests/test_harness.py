@@ -255,6 +255,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameter):
             ExperimentConfig(primes=(), set_descriptor="list:1")
 
+    def test_repeated_primes(self):
+        # Trial seeds depend on (base, prime, trial) alone, so a repeated
+        # prime would only repeat its rows.
+        with pytest.raises(InvalidParameter, match="distinct"):
+            ExperimentConfig(primes=(101, 211, 101), set_descriptor="bernoulli:0.3")
+
 
 class TestEnginePrimeGuard:
     BIG = 2**61 - 1  # prime, far past incidence.ENGINE_MAX_P
@@ -272,6 +278,12 @@ class TestEnginePrimeGuard:
     def test_refused_before_the_set_is_built(self, no_sets, run):
         with pytest.raises(InvalidParameter, match="p <= "):
             run(cfg(primes=(self.BIG,), set_descriptor="bernoulli:1/2", seed=1))
+
+    @pytest.mark.parametrize("run", [run_moments, run_verify, run_sweep])
+    def test_a_set_within_the_set_budget_is_refused_too(self, no_sets, run):
+        # uniform:3 fits fieldsets.SET_BUDGET, so only the prime guard stops it.
+        with pytest.raises(InvalidParameter, match="p <= "):
+            run(cfg(primes=(self.BIG,), set_descriptor="uniform:3", seed=1))
 
     def test_every_sweep_prime_is_checked_first(self, no_sets):
         with pytest.raises(InvalidParameter, match="p <= "):

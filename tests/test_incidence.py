@@ -96,6 +96,11 @@ class TestSlopeProfile:
             inv = pow(m, -1, p)
             assert sorted(slope_profile(A, m)) == sorted(slope_profile(A, inv))
 
+    def test_refused_past_engine_max_p(self):
+        A = from_list(validate_prime(2**31 + 11), [0, 1])
+        with pytest.raises(InvalidParameter, match=f"p <= {2**24}"):
+            slope_profile(A, 1)
+
 
 @pytest.mark.parametrize(
     "n, k", [(1, 30), (71, 5), (72, 4), (210, 4), (211, 3), (1261, 3), (1262, 2)]

@@ -357,3 +357,20 @@ class TestCensusBudget:
             support_census(A, sample=most + 1, seed=1)
         small = support_census(A, sample=2, seed=1)
         assert len(small.pairs) == 2 and small.sampled
+
+
+class TestRatioTables:
+    @pytest.mark.parametrize("p", [101, 2**31 - 1, 2**31 + 11, 2**61 - 1])
+    def test_inverses_match_pow_in_both_dtypes(self, p):
+        A = from_list(validate_prime(p), [0, 1, 2, 5, p // 3, p - 1])
+        values = products._difference_table(A)[0, 1:]
+        inverses = products._inverses(values, p)
+        assert inverses.dtype == values.dtype
+        assert inverses.tolist() == [pow(int(v), -1, p) for v in values]
+
+    def test_rows_are_the_nonzero_differences_and_their_inverses(self):
+        p = 13
+        A = from_list(validate_prime(p), [1, 4, 9])
+        nonzero, inverses = products._ratio_tables(A)
+        assert nonzero.tolist() == [[10, 5], [3, 8], [8, 5]]
+        assert (nonzero * inverses % p == 1).all()

@@ -290,7 +290,8 @@ class VerificationReport:
     Exact checks land in `passed`-style booleans; everything irrational
     is a diagnostic.  overall_pass covers only the exact-constant
     checks (identities, triple-count window, dyadic class bound) plus
-    any optional cross-checks that were actually run.
+    any optional cross-checks that were actually run, among them the
+    "s3" identity that `harness.run_verify` appends to `identities`.
     """
 
     p: int
@@ -309,8 +310,6 @@ class VerificationReport:
     strategy_equivalence: Optional[bool] = None
     oracle_t: Optional[int] = None
     oracle_q: Optional[int] = None
-    algebraic_count: Optional[int] = None
-    algebraic_delta: Optional[int] = None
     timings_ms: Optional[Dict[str, float]] = None
 
     @property
@@ -424,16 +423,6 @@ class VerificationReport:
                 "t_brute": self.oracle_t,
                 "q_brute": self.oracle_q,
                 "match": self.oracle_ok,
-            }
-        if self.algebraic_count is not None:
-            out["algebraic"] = {
-                "count": self.algebraic_count,
-                "delta": self.algebraic_delta,
-                "delta_over_n4": (
-                    frac(Fraction(abs(self.algebraic_delta), self.n ** 4))
-                    if self.n
-                    else None
-                ),
             }
         if self.timings_ms is not None:
             out["timings_ms"] = self.timings_ms

@@ -12,7 +12,6 @@ import logging
 import sys
 from typing import List, Optional
 
-from . import oracle
 from .errors import GridlinesError
 from .harness import (
     ExperimentConfig,
@@ -70,13 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="all exact checks plus oracle cross-checks")
     _add_common(sp)
-    sp.add_argument("--t-cap", type=int, default=oracle.T_BRUTE_CAP,
-                    help="max n for triple oracle")
-    sp.add_argument("--q-cap", type=int, default=oracle.Q_BRUTE_CAP,
-                    help="max n for quadruple oracle")
-    sp.add_argument("--alg-cap", type=int, default=oracle.ALGEBRAIC_CAP,
-                    help="max n for the ratio-equation count")
-    sp.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     sp = sub.add_parser("sweep", help="multi-prime Monte Carlo sweep")
     _add_common(sp, multi_prime=True)
@@ -106,11 +98,7 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
         trials=getattr(args, "trials", 1),
         seed=args.seed,
         threads=getattr(args, "threads", 1),
-        t_cap=getattr(args, "t_cap", oracle.T_BRUTE_CAP),
-        q_cap=getattr(args, "q_cap", oracle.Q_BRUTE_CAP),
-        alg_cap=getattr(args, "alg_cap", oracle.ALGEBRAIC_CAP),
         timings=getattr(args, "timings", False),
-        inject_fault=getattr(args, "inject_fault", False),
     )
 
 

@@ -31,10 +31,12 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import oracle
-from .bounds import VerificationReport, render_fraction, root_fraction, verify_histogram
+from .bounds import (
+    IdentityCheck, VerificationReport, render_fraction, root_fraction, verify_histogram,
+)
 from .errors import GridlinesError, InvalidParameter
 from .fieldsets import FieldSubset, parse_set_descriptor, validate_prime
-from .incidence import IncidenceHistogram, _check_engine_prime, incidence_histogram, moments
+from .incidence import IncidenceHistogram, _check_engine_prime, incidence_histogram
 from .products import support_census
 from .rng import trial_seed
 
@@ -51,11 +53,7 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 0
     threads: int = 1
-    t_cap: int = oracle.T_BRUTE_CAP
-    q_cap: int = oracle.Q_BRUTE_CAP
-    alg_cap: int = oracle.ALGEBRAIC_CAP
     timings: bool = False
-    inject_fault: bool = False
 
     def __post_init__(self):
         if self.trials < 1:
@@ -111,7 +109,8 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
 
     The naive strategy joins the equivalence check only while
     p**2 * n stays under NAIVE_BUDGET; the two slope strategies are
-    always compared.  Oracle cross-checks run when n is within caps.
+    always compared.  Each oracle runs while n is within its `oracle`
+    cap; the ratio-equation count adds the exact "s3" identity.
     With timings, each build and oracle is timed: "histogram" for the
     first build, "histogram:<strategy>" for each equivalence build, and
     "t_brute", "q_brute" and "algebraic".
@@ -120,9 +119,6 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
     p, n = subset.p, subset.n
     timings: Dict[str, float] = {}
     hist = _timed(timings, "histogram", incidence_histogram, subset, cfg.strategy)
-    s3 = moments(hist).s3  # taken before any injected fault
-    if cfg.inject_fault:
-        hist = _corrupt(hist)
 
     variants = {"slope_direct", "slope_fast", hist.strategy}
     if p * p * max(n, 1) <= NAIVE_BUDGET:
@@ -136,14 +132,14 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
             equivalent = False
     report = verify_histogram(hist, subset.provenance, used_seed)
     report.strategy_equivalence = equivalent
-    if n <= cfg.t_cap:
-        report.oracle_t = _timed(timings, "t_brute", oracle.t_brute, subset, cfg.t_cap)
-    if n <= cfg.q_cap:
-        report.oracle_q = _timed(timings, "q_brute", oracle.q_brute, subset, cfg.q_cap)
-    if n <= cfg.alg_cap:
-        count = _timed(timings, "algebraic", oracle.algebraic_triple_count, subset, cfg.alg_cap)
-        report.algebraic_count = count
-        report.algebraic_delta = s3 - 2 * n**4 - count
+    if n <= oracle.T_BRUTE_CAP:
+        report.oracle_t = _timed(timings, "t_brute", oracle.t_brute, subset)
+    if n <= oracle.Q_BRUTE_CAP:
+        report.oracle_q = _timed(timings, "q_brute", oracle.q_brute, subset)
+    if n <= oracle.ALGEBRAIC_CAP:
+        count = _timed(timings, "algebraic", oracle.algebraic_triple_count, subset)
+        report.identities.append(IdentityCheck(
+            "s3", report.moment_set.s3, count + 4 * n**4 - 4 * n**3 + (p + 1) * n**2))
     if cfg.timings:
         report.timings_ms = timings
     return report

@@ -16,7 +16,8 @@ int64 for p < 2**31 and object (Python integers) above, where the
 determinant products could overflow int64.
 
 Costs are Theta(n**6) for triples and Theta(n**8) for quadruples, hence
-the hard size caps; raise them only knowingly.
+the hard size caps, which `harness.run_verify` takes as fixed
+thresholds.
 
 algebraic_triple_count is not a tuple enumeration: it counts the
 ratio-equation 6-tuples through the product-support census kernel of
@@ -115,9 +116,10 @@ def algebraic_triple_count(A: FieldSubset, cap: int = ALGEBRAIC_CAP) -> int:
     second moments `products._product_moments` reads from the ratio
     tables `products._ratio_tables`.
 
-    `harness.run_verify` reconciles it with the engine's triple count as
-    delta = s3 - 2*n**4 - count, which removes the two axis-parallel line
-    families; the dominant degenerate term in delta is (p+1)*n**2.
+    A tuple is a collinear triple of grid points from the base (a3, a1)
+    on a sloped line; the others are axis-parallel, repeat the base or
+    are all equal (on p + 1 lines), so s3 = count + 4n**4 - 4n**3 +
+    (p+1)n**2, the identity `harness.run_verify` checks.
     """
     n, p = A.n, A.p
     if n > cap:

@@ -297,6 +297,11 @@ def support_census(
         if sample < total_pairs and seed is None:
             raise InvalidParameter("sampled census needs a seed")
     census_pairs = total_pairs if sample is None else sample
+    if total_pairs > CENSUS_BUDGET:
+        raise InvalidParameter(
+            f"no census of a {n}-set fits: one base pair forms {total_pairs} "
+            f"products, over the budget of {CENSUS_BUDGET}; the limit is "
+            f"n <= {math.isqrt(CENSUS_BUDGET)}")
     if census_pairs * total_pairs > CENSUS_BUDGET:
         raise InvalidParameter(
             f"a census of {census_pairs} base pairs at n = {n} forms "

@@ -307,16 +307,15 @@ def test_criterion_09b_sweep_parallel_speedup(criterion7_sweep):
     )
 
 
-def test_criterion_10_reconciliation_diagnostic(corpus_small):
-    worst = Fraction(0)
-    failures = 0
+def test_criterion_10_algebraic_triple_identity(corpus_small):
+    mismatches = []
     for A, h in corpus_small:
-        delta = moments(h).s3 - 2 * A.n**4 - algebraic_triple_count(A)
-        ratio = Fraction(abs(delta), A.n**4)
-        worst = max(worst, ratio)
-        if abs(delta) > 20 * A.n**4:
-            failures += 1
-    ok = failures == 0
-    _report(10, ok, f"measured |delta|/n^4 max = {float(worst):.3f} "
-                    f"(cap 20), failures={failures}")
+        n, p = A.n, A.p
+        expected = algebraic_triple_count(A) + 4 * n**4 - 4 * n**3 + (p + 1) * n**2
+        if moments(h).s3 != expected:
+            mismatches.append((p, A.elements))
+    matched = len(corpus_small) - len(mismatches)
+    ok = not mismatches and matched == 50
+    _report(10, ok, f"s3 = C2 + 4n^4 - 4n^3 + (p+1)n^2 held on {matched} of "
+                    f"{len(corpus_small)} sets, mismatches={mismatches}")
     assert ok

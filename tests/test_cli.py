@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import gridlines
-from gridlines.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from gridlines import harness
+from gridlines.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -99,7 +102,7 @@ class TestMoments:
     # slope_fast main build.
     (["moments", "-p", "101", "--set", "uniform:61:2"], "moments_p101_uniform_61_2.json"),
     # Sort-branch main build, slope_fast and naive equivalence builds,
-    # both brute-force oracles and the algebraic delta.
+    # both brute-force oracles and the s3 identity.
     (["verify", "-p", "101", "--set", "uniform:6:4"], "verify_p101_uniform_6_4.json"),
     (["sweep", "--primes", "101,211", "--set", "bernoulli:0.3", "--trials", "3",
       "--seed", "5", "--format", "csv"], "sweep_p101_211_bernoulli_0.3_seed5.csv"),
@@ -131,12 +134,28 @@ class TestVerify:
         assert code == EXIT_OK
         assert out == HAND_CASE_CSV
 
-    def test_injected_fault_negative_control(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--prime", "5", "--set", "list:0,1",
-            "--inject-fault")
+    def test_injected_fault_negative_control(self, capsys, monkeypatch):
+        build = harness.incidence_histogram
+        builds = []
+
+        def first_build_corrupted(A, strategy=None):
+            builds.append(strategy)
+            hist = build(A, strategy)
+            return harness._corrupt(hist) if len(builds) == 1 else hist
+
+        monkeypatch.setattr(harness, "incidence_histogram", first_build_corrupted)
+        code, out, _ = run_cli(capsys, "verify", "--prime", "5", "--set", "list:0,1")
         assert code == EXIT_CHECK_FAILED
-        assert json.loads(out)["overall_pass"] is False
+        data = json.loads(out)
+        assert data["overall_pass"] is False
+        assert data["config"]["strategy"] == "slope_direct"  # the corrupted copy keeps it
+
+    @pytest.mark.parametrize("option", [
+        ["--t-cap", "30"], ["--q-cap", "10"], ["--alg-cap", "1000"], ["--inject-fault"]])
+    def test_removed_options_are_usage_errors(self, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--prime", "5", "--set", "list:0,1", *option])
+        assert exc.value.code == EXIT_USAGE
 
 
 class TestSweep:
@@ -223,6 +242,13 @@ class TestSupport:
         assert code == EXIT_USAGE and out == ""
         assert "budget" in err and "--sample" in err
 
+    def test_no_census_fits_past_n_2_14(self, capsys):
+        code, out, err = run_cli(capsys, "support", "--prime", str(2**61 - 1),
+                                 "--set", "interval:0:20000", "--sample", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert "no census of a 20000-set fits" in err and "n <= 16384" in err
+        assert "at most 0" not in err
+
     def test_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "support", "--prime", "5", "--set", "list:0,1",
@@ -307,3 +333,19 @@ def test_repeated_sweep_primes_exit_2(capsys):
                              "--format", "csv")
     assert code == EXIT_USAGE and out == ""
     assert "distinct" in err
+
+
+def test_readme_cli_section_names_exactly_the_parser_options():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subparsers = build_parser()._subparsers._group_actions[0].choices.values()
+    accepted = {
+        flag
+        for sp in subparsers
+        for action in sp._actions
+        if action.help != argparse.SUPPRESS
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert documented == accepted

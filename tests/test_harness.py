@@ -51,29 +51,62 @@ class TestRunMoments:
         assert "histogram" in run_moments(cfg(timings=True)).timings_ms
 
 
+def _shift_s3(hist):
+    # Counts at k = 1..4 shifted by (-1, +3, -3, +1): the third finite
+    # difference keeps the line count, s1 and s2 and moves s3 by 6.
+    counts = dict(hist.counts)
+    for k, step in zip((1, 2, 3, 4), (-1, 3, -3, 1)):
+        counts[k] = counts.get(k, 0) + step
+    return dataclasses.replace(hist, counts=counts)
+
+
 class TestRunVerify:
     def test_small_case_runs_all_checks(self):
         rep = run_verify(cfg(primes=(31,), set_descriptor="uniform:8:7", seed=0))
         assert rep.strategy_equivalence is True
         assert rep.oracle_t == rep.moment_set.s3
         assert rep.oracle_q is None  # n = 8 above quadruple cap
-        assert rep.algebraic_count is not None
+        s3 = {c.name: c for c in rep.identities}["s3"]
+        assert s3.observed == rep.moment_set.s3 and s3.passed
         assert rep.overall_pass
 
     def test_quadruple_oracle_within_cap(self):
         rep = run_verify(cfg(primes=(31,), set_descriptor="uniform:5:7"))
         assert rep.oracle_q == rep.moment_set.s4
 
-    def test_injected_fault_fails(self):
-        rep = run_verify(cfg(inject_fault=True))
+    def test_injected_fault_fails(self, monkeypatch):
+        build = harness.incidence_histogram
+        builds = []
+
+        def first_build_corrupted(A, strategy=None):
+            builds.append(strategy)
+            hist = build(A, strategy)
+            return _corrupt(hist) if len(builds) == 1 else hist
+
+        monkeypatch.setattr(harness, "incidence_histogram", first_build_corrupted)
+        rep = run_verify(cfg())
         assert not rep.overall_pass
         assert rep.strategy == "slope_direct"  # the corrupted copy keeps it
 
-    def test_algebraic_delta_uses_the_uncorrupted_build(self):
-        clean = run_verify(cfg())
-        faulty = run_verify(cfg(inject_fault=True))
-        assert faulty.moment_set.s3 != clean.moment_set.s3
-        assert faulty.algebraic_delta == clean.algebraic_delta
+    @pytest.mark.parametrize("p, descriptor", [
+        (101, "uniform:12:3"), (211, "uniform:16:5"), (101, "uniform:9:1")])
+    def test_s3_shift_fails_through_the_identity(self, monkeypatch, p, descriptor):
+        build = harness.incidence_histogram
+        monkeypatch.setattr(harness, "incidence_histogram",
+                            lambda A, strategy=None: _shift_s3(build(A, strategy)))
+        rep = run_verify(cfg(primes=(p,), set_descriptor=descriptor))
+        checks = {c.name: c.passed for c in rep.identities}
+        # n > 8: no brute-force oracle runs, and every build is shifted
+        # alike, so only the s3 identity can see the fault.
+        assert rep.oracle_t is None and rep.strategy_equivalence is True
+        assert checks == {"s1": True, "s2": True, "s3": False}
+        assert not rep.overall_pass
+
+    @pytest.mark.parametrize("n, names", [(20, ["s1", "s2", "s3"]), (21, ["s1", "s2"])])
+    def test_s3_identity_runs_up_to_the_algebraic_cap(self, n, names):
+        rep = run_verify(cfg(primes=(101,), set_descriptor=f"uniform:{n}:2"))
+        assert [c.name for c in rep.identities] == names
+        assert rep.overall_pass
 
     def test_timings_name_every_build_and_oracle(self):
         small = cfg(primes=(31,), set_descriptor="uniform:5:7")

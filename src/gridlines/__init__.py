@@ -76,7 +76,6 @@ from .incidence import (
     incidence_count,
     incidence_histogram,
     moments,
-    slope_profile,
 )
 from .oracle import (
     Point,

@@ -294,23 +294,35 @@ class SetSpec:
     seed: Optional[int] = None
 
     def realize(self, m: PrimeModulus, seed: Optional[int] = None) -> FieldSubset:
+        self.size(m.p)  # refuses an unknown family or a set over SET_BUDGET first
         if self.family == "list":
             return from_list(m, list(self.params))
-        family = _FAMILIES.get(self.family)
-        if family is None:
-            raise DescriptorError(f"unknown family '{self.family}'")
+        family = _FAMILIES[self.family]
         args = self.params
         if family.seeded:
             args += (self.seed if self.seed is not None else seed,)
             if args[-1] is None:
                 raise InvalidParameter(f"family '{self.family}' needs a seed (give one "
                                        "in the descriptor or via --seed)")
-        visits = family.visits(m.p, *self.params)
+        return globals()[family.generator](m, *args)
+
+    def size(self, p: int) -> Optional[int]:
+        """The n of the set realize builds mod p, read from the descriptor alone
+        (a length past p reads p); None for bernoulli, whose n is random.
+        Refuses a set whose generator would visit more than SET_BUDGET residues."""
+        if self.family == "list":
+            return len(self.params)
+        family = _FAMILIES.get(self.family)
+        if family is None:
+            raise DescriptorError(f"unknown family '{self.family}'")
+        visits = family.visits(p, *self.params)
         if visits > SET_BUDGET:
             raise InvalidParameter(
-                f"{self.family} set would visit {visits} residues mod {m.p}, "
+                f"{self.family} set would visit {visits} residues mod {p}, "
                 f"over the set budget of {SET_BUDGET}")
-        return globals()[family.generator](m, *args)
+        if self.family == "bernoulli":
+            return None
+        return self.params[0] if self.family == "uniform" else visits
 
 
 def _token(tok: str, name: str):

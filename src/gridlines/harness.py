@@ -36,13 +36,13 @@ from .bounds import (
 )
 from .errors import GridlinesError, InvalidParameter
 from .fieldsets import FieldSubset, parse_set_descriptor, validate_prime
-from .incidence import IncidenceHistogram, _check_engine_prime, incidence_histogram
-from .products import support_census
+from .incidence import (
+    KERNELS, IncidenceHistogram, _check_engine_prime, estimated_ps, incidence_histogram,
+)
+from .products import _check_census_size, support_census
 from .rng import trial_seed
 
-# Cost guard for including the naive strategy in equivalence checks:
-# p**2 n <= 2e7 membership lookups, about 50 ms of naive.
-NAIVE_BUDGET = 20_000_000
+CROSS_CHECK_BUDGET_PS = 10**12  # one second of estimated build time (see run_verify)
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,13 @@ def _single_prime(cfg: ExperimentConfig, command: str) -> Tuple[FieldSubset, int
         raise InvalidParameter(f"{command} runs on exactly one prime")
     spec = parse_set_descriptor(cfg.set_descriptor)
     modulus = validate_prime(cfg.primes[0])
-    if command != "support":  # refuse before building; the census has its own budget
+    if command != "support":  # refuse before building a set
         _check_engine_prime(modulus.p)
+    elif (size := spec.size(modulus.p)) is not None:  # bernoulli's n is drawn later
+        _check_census_size(size)
     subset = spec.realize(modulus, cfg.seed)
+    if subset.provenance == cfg.set_descriptor:  # keep one string, not two equal ones
+        subset = replace(subset, provenance=cfg.set_descriptor)
     return subset, spec.seed if spec.seed is not None else cfg.seed
 
 
@@ -105,14 +109,14 @@ def _corrupt(hist: IncidenceHistogram) -> IncidenceHistogram:
 
 
 def run_verify(cfg: ExperimentConfig) -> VerificationReport:
-    """Identity suite plus strategy-equivalence and oracle cross-checks.
+    """Identity suite plus kernel-equivalence and oracle cross-checks.
 
-    The naive strategy joins the equivalence check only while
-    p**2 * n stays under NAIVE_BUDGET; the two slope strategies are
-    always compared.  Each oracle runs while n is within its `oracle`
-    cap; the ratio-equation count adds the exact "s3" identity.
+    The build is compared with every other kernel of the incidence
+    table whose estimate fits CROSS_CHECK_BUDGET_PS, and always with the
+    cheapest other kernel.  Each oracle runs while n is within its
+    `oracle` cap; the ratio-equation count adds the exact "s3" identity.
     With timings, each build and oracle is timed: "histogram" for the
-    first build, "histogram:<strategy>" for each equivalence build, and
+    first build, "histogram:<kernel>" for each cross-check build, and
     "t_brute", "q_brute" and "algebraic".
     """
     subset, used_seed = _single_prime(cfg, "verify")
@@ -120,16 +124,13 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
     timings: Dict[str, float] = {}
     hist = _timed(timings, "histogram", incidence_histogram, subset, cfg.strategy)
 
-    variants = {"slope_direct", "slope_fast", hist.strategy}
-    if p * p * max(n, 1) <= NAIVE_BUDGET:
-        variants.add("naive")
+    others = sorted((k for k in KERNELS if k != hist.kernel), key=lambda k: estimated_ps(k, p, n))
     equivalent = True
-    for variant in sorted(variants):
-        if variant == hist.strategy:
-            continue
-        other = _timed(timings, f"histogram:{variant}", incidence_histogram, subset, variant)
-        if other.counts != hist.counts:
-            equivalent = False
+    for i, kernel in enumerate(others):
+        if i and estimated_ps(kernel, p, n) > CROSS_CHECK_BUDGET_PS:
+            break  # the later kernels cost more still
+        other = _timed(timings, f"histogram:{kernel}", incidence_histogram, subset, kernel)
+        equivalent = equivalent and other.counts == hist.counts
     report = verify_histogram(hist, subset.provenance, used_seed)
     report.strategy_equivalence = equivalent
     if n <= oracle.T_BRUTE_CAP:

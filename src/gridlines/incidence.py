@@ -15,45 +15,38 @@ The power sums of the histogram are the central statistics:
     s3 = sum i(line)**3   = collinear triple count
     s4 = sum i(line)**4   = collinear quadruple count
 
-Three build strategies produce bit-identical histograms:
+Four kernels build bit-identical histograms.  Each row of _KERNELS holds
+a tally that adds the counts-of-counts of the p**2 sloped lines into one
+accumulator, the CLI strategy it serves, and an integer count of work in
+its own unit times picoseconds per unit, fitted on one core of a 2-core
+x86-64 host:
 
-    naive         count every line from its own equation, p**2 n
-                  membership lookups, vectorized per chunk of slopes
-    slope_direct  per-slope residue tally of y - m*x, ~p n**2 / 2 keys;
-                  for p > 2 n**2 runs of equal ratios, ~n**4 / 2 products
-    slope_fast    exact cyclic convolution, k slopes per transform,
-                  ~(p/2) L log2 L / k, with L = ntt.conv_length(p) the
-                  transform length and k = _digit_capacity(n)
+    naive    p**2 n membership lookups, 700 ps; the reference
+    ratio    n (n + 1) / 2 * (n - 1)**2 ratio products, 12.5 ns (slope_direct)
+    profile  (p + 1) / 2 slopes of n**2 keys plus 2p bins, 2.2 ns (slope_direct)
+    ntt      per packed convolution, L = ntt.conv_length(p) transform points
+             plus 840 for the rest, 185 ns (slope_fast)
 
-Each strategy is one tally _tally_<strategy>(A, acc) that adds the
-counts-of-counts of the p**2 sloped lines into one accumulator.  Only
-incidence_histogram picks the tally: given no strategy it applies
-default_strategy and logs the choice (the CLI's --verbose).  It refuses
+A strategy runs its cheapest kernel, default_strategy names the strategy
+of the cheapest kernel but naive, and verify cross-checks a build with
+the other kernels under one budget (harness.CROSS_CHECK_BUDGET_PS).
+incidence_histogram logs a default pick (the CLI's --verbose), refuses
 p > ENGINE_MAX_P before allocating anything (_check_engine_prime, which
 the harness also calls before it builds a set), adds the vertical family
-(n lines x = c, c in A, each through a full column of the grid) and
-records the strategy in the histogram.
+(n columns x = c, c in A) and records the kernel in the histogram.
 
-slope_fast and dense slope_direct group work per slope and use the
-inverse-slope symmetry: swapping coordinates maps A x A onto itself and
-the line y = m*x + b (m != 0) onto y = x/m - b/m, so slopes m and 1/m
-have the same multiset of incidence counts.  Each tallies one slope of
-every class {m, 1/m}, counted twice (once for the self-inverse slopes 1
-and p - 1).  Both slope strategies add slope 0 in closed form.
-Per-slope results merge by plain addition, so slopes may be processed
-in any order.  slope_direct's dense branch and slope_profile share one
-profile kernel, _profiles.  naive uses no symmetry, no closed form for
-slope 0 and no y - m*x keys: it stays the independent reference.
-
-Sparse slope_direct counts lines from the points by the paper's ratio
-equations, on the kernel of `products` (see _tally_slope_direct).  Its
-s1 identity holds by construction; s2 stays a real check.
-
-slope_fast packs k slopes into one convolution as base-(n + 1) digits:
-a profile entry never exceeds n, so the k profiles come back as the
-digits of one exact integer below (n + 1)**k <= ntt.NTT_PRIME, with no
-carries between them.  k is 11 at n = 6, 4 for 72 <= n <= 210 and 3
-for 211 <= n <= 1261.
+profile and ntt tally one slope of every class {m, 1/m}, counted twice
+(once for the self-inverse slopes 1 and p - 1): swapping coordinates
+maps A x A onto itself and y = m*x + b onto y = x/m - b/m.  Every kernel
+but naive adds slope 0 in closed form; naive uses no symmetry and no
+y - m*x keys, so it stays the independent reference.  ratio counts lines
+from the paper's ratio equations on the kernel of `products`; its s1
+holds by construction and its s3 follows from s1 and s2, so only a build
+by another kernel checks it.  ntt packs k = _digit_capacity(n) slopes
+into one convolution as base-(n + 1) digits: a profile entry never
+exceeds n, so the k profiles come back as the digits of one exact
+integer below (n + 1)**k <= ntt.NTT_PRIME (k is 11 at n = 6, 4 for
+72 <= n <= 210 and 3 for 211 <= n <= 1261).
 """
 
 from __future__ import annotations
@@ -61,7 +54,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -74,7 +67,7 @@ logger = logging.getLogger(__name__)
 
 
 # Per-slope buffers are p entries; the cap keeps them under ~128 MiB.
-# Every strategy is held to it, the p-free sparse slope_direct too.
+# Every kernel is held to it, the p-free ratio kernel too.
 ENGINE_MAX_P = 1 << 24
 
 # Target element count per vectorized chunk of slopes; sized so chunk
@@ -133,7 +126,8 @@ class IncidenceHistogram:
     p: int
     n: int
     counts: Dict[int, int]
-    strategy: str = field(default="", compare=False)  # the builder's; "" by hand
+    kernel: str = field(default="", compare=False)  # the builder's; "" by hand
+    strategy = property(lambda self: _KERNELS[self.kernel].strategy if self.kernel else "")
 
     @property
     def zero_lines(self) -> int:
@@ -174,34 +168,6 @@ def moments(h: IncidenceHistogram) -> MomentSet:
         s3 += k2 * k * c
         s4 += k2 * k2 * c
     return MomentSet(s1, s2, s3, s4)
-
-
-# Crossover constant of default_strategy: slope_direct while
-# n**2 * k <= _CROSSOVER_K * L * log2(L), k = _digit_capacity(n).
-# Fitted to best-of-5 wall times of the paired direct and packed fast
-# strategies on uniform sets (one thread, 2-core x86-64 host, numpy 2.4):
-#   p = 1009 (L = 2048)  n = 330, k = 3  fast 0.087 s  direct 0.112 s
-#   p = 2003 (L = 4096)  n = 390, k = 3  fast 0.337 s  direct 0.381 s
-#   p = 4001 (L = 8192)  n = 470, k = 3  fast 1.275 s  direct 1.235 s
-# Direct time grows as n**2, so the two meet at n near 290, 367 and 477,
-# where n**2 * k is 11.2, 8.2 and 6.4 times L log2 L; K is their
-# geometric mean, rounded.
-_CROSSOVER_K = 8
-
-
-def default_strategy(p: int, n: int) -> str:
-    """The cheaper slope strategy for a set of n elements mod p.
-
-    slope_direct costs about p * n**2 / 2 tallied keys.  slope_fast
-    packs k = _digit_capacity(n) slopes into each transform, so it costs
-    about p / (2k) transforms of length L = ntt.conv_length(p).  Direct
-    wins while n**2 * k <= K * L * log2(L), K = _CROSSOVER_K fitted to
-    measured timings; beyond that slope_fast.
-    """
-    length = ntt.conv_length(p)
-    if n * n * _digit_capacity(max(n, 1)) <= _CROSSOVER_K * length * (length.bit_length() - 1):
-        return "slope_direct"
-    return "slope_fast"
 
 
 def _tally_naive(A: FieldSubset, acc: np.ndarray) -> None:
@@ -265,47 +231,35 @@ def _profiles(elems: np.ndarray, slopes: np.ndarray, p: int, keys: np.ndarray) -
     return halves[:, 0] + halves[:, 1]
 
 
-def slope_profile(A: FieldSubset, m: int) -> np.ndarray:
-    """Incidence counts of all p lines with slope m, indexed by intercept.
+def _tally_ratio(A: FieldSubset, acc: np.ndarray) -> None:
+    """Count the sloped lines from runs of equal ratios, about n**4 / 2 products.
 
-    Entry b is i(Sloped(m, b)); equivalently the number of pairs
-    (x, y) in A x A with y - m*x = b mod p.
-    """
-    p, n = A.p, A.n
-    _check_coeff(m, p, "slope")
-    _check_engine_prime(p)
-    elems = np.asarray(A.elements, dtype=np.intp)
-    keys = np.empty((1, n, n), dtype=np.intp)
-    return _profiles(elems, np.array([m], dtype=np.intp), p, keys)[0]
-
-
-def _tally_slope_direct(A: FieldSubset, acc: np.ndarray) -> None:
-    """Tally the sloped lines per slope (dense) or from ratio runs (sparse).
-
-    Dense, p <= 2 n**2: chunks of slopes share one intp key buffer and
-    bincount their profiles from _profiles, about p n**2 / 2 keys.
-    Sparse: from a base point (a1, a3), a non-axis line through k >= 2
-    grid points is a run of k - 1 equal ratios (a1 - a2) / (a3 - a4),
-    seen from each of its k points, so N_k = (runs of length k - 1) / k.
+    From a base point (a1, a3), a non-axis line through k >= 2 grid
+    points is a run of k - 1 equal ratios (a1 - a2) / (a3 - a4), seen
+    from each of its k points, so N_k = (runs of length k - 1) / k.
     Swapping coordinates inverts a row's ratios and keeps its runs, so
-    only a1 <= a3 is formed, weight 2 off the diagonal: about n**4 / 2
-    products whatever p is.  Each point lies on p - 1 non-axis lines,
-    so N_1 = n**2 (p - 1) - sum_{k >= 2} k N_k.
+    only a1 <= a3 is formed, weight 2 off the diagonal, whatever p is.
+    Each point lies on p - 1 non-axis lines, so
+    N_1 = n**2 (p - 1) - sum_{k >= 2} k N_k.
     """
     p, n = A.p, A.n
     acc[n] += n  # slope 0: the n rows y = b, b in A
-    if p > 2 * n * n:
-        runs = np.zeros(n, dtype=np.int64)  # runs[L]: ratio runs of length L
-        if n > 1:
-            tables = _ratio_tables(A)
-            diagonal = np.arange(n)
-            runs += 2 * _run_length_counts(*tables, *np.triu_indices(n, 1), p, n)
-            runs += _run_length_counts(*tables, diagonal, diagonal, p, n)
-        k = np.arange(2, n + 1)
-        lines = runs[1:] // k
-        acc[2:] += lines
-        acc[1] += n * n * (p - 1) - int((k * lines).sum())
-        return
+    runs = np.zeros(n, dtype=np.int64)  # runs[L]: ratio runs of length L
+    if n > 1:
+        tables = _ratio_tables(A)
+        diagonal = np.arange(n)
+        runs += 2 * _run_length_counts(*tables, *np.triu_indices(n, 1), p, n)
+        runs += _run_length_counts(*tables, diagonal, diagonal, p, n)
+    k = np.arange(2, n + 1)
+    lines = runs[1:] // k
+    acc[2:] += lines
+    acc[1] += n * n * (p - 1) - int((k * lines).sum())
+
+
+def _tally_profile(A: FieldSubset, acc: np.ndarray) -> None:
+    """Bincount _profiles of chunks of slopes, one per class, in one key buffer."""
+    p, n = A.p, A.n
+    acc[n] += n  # slope 0: the n rows y = b, b in A
     classes = _slope_classes(p)
     most = max(len(slopes) for slopes, _ in classes)
     chunk = max(1, min(most, _CHUNK_TARGET // max(n * n, 2 * p)))
@@ -319,20 +273,15 @@ def _tally_slope_direct(A: FieldSubset, acc: np.ndarray) -> None:
 
 
 def _digit_capacity(n: int) -> int:
-    """Largest k with (n + 1)**k <= ntt.NTT_PRIME, for n >= 1.
-
-    Profiles of k slopes packed as base-(n + 1) digits stay below
-    (n + 1)**k, hence below the NTT modulus, so they come back exact.
-    """
-    base = n + 1
-    k, power = 0, base
-    while power <= ntt.NTT_PRIME:
+    """Largest k with (n + 1)**k <= ntt.NTT_PRIME, for n >= 1: profiles of k
+    slopes packed as base-(n + 1) digits stay below it, so they come back exact."""
+    k = 1
+    while (n + 1) ** (k + 1) <= ntt.NTT_PRIME:
         k += 1
-        power *= base
     return k
 
 
-def _tally_slope_fast(A: FieldSubset, acc: np.ndarray) -> None:
+def _tally_ntt(A: FieldSubset, acc: np.ndarray) -> None:
     """Tally per-slope profiles via exact cyclic convolution, k slopes at once.
 
     The indicator f of A (as y-values) is transformed once.  Each
@@ -368,13 +317,40 @@ def _tally_slope_fast(A: FieldSubset, acc: np.ndarray) -> None:
     acc[n] += n  # slope 0: the n rows y = b, b in A
 
 
-# The one dispatch table of the histogram strategies, in CLI order.
-_TALLIES = {
-    "naive": _tally_naive,
-    "slope_direct": _tally_slope_direct,
-    "slope_fast": _tally_slope_fast,
+def _ntt_units(p: int, n: int) -> int:
+    convolutions = -(-((p + 1) // 2) // _digit_capacity(max(n, 1)))
+    return convolutions * (ntt.conv_length(p) + 840)  # 840 points: packing, digits, bincounts
+
+
+class _Kernel(NamedTuple):
+    tally: Callable[[FieldSubset, np.ndarray], None]
+    strategy: str                     # the CLI strategy it serves
+    units: Callable[[int, int], int]  # (p, n) -> work in the kernel's own unit
+    ps_per_unit: int                  # fitted on one core of a 2-core x86-64 host
+
+
+# The one table of the histogram kernels, naive first.  Cost estimates, in
+# picoseconds, pick every build and every cross-check of verify.
+_KERNELS = {
+    "naive": _Kernel(_tally_naive, "naive", lambda p, n: p * p * n, 700),  # lookups
+    "ratio": _Kernel(_tally_ratio, "slope_direct",
+                     lambda p, n: n * (n + 1) // 2 * (n - 1) ** 2, 12500),  # products
+    "profile": _Kernel(_tally_profile, "slope_direct",
+                       lambda p, n: (p + 1) // 2 * (n * n + 2 * p), 2200),  # keys plus bins
+    "ntt": _Kernel(_tally_ntt, "slope_fast", _ntt_units, 185000),  # transform points
 }
-STRATEGIES = tuple(_TALLIES)
+KERNELS = tuple(_KERNELS)
+STRATEGIES = tuple(dict.fromkeys(kernel.strategy for kernel in _KERNELS.values()))
+
+
+def estimated_ps(kernel: str, p: int, n: int) -> int:
+    """The table's cost estimate of one build, in picoseconds."""
+    return _KERNELS[kernel].units(p, n) * _KERNELS[kernel].ps_per_unit
+
+
+def default_strategy(p: int, n: int) -> str:
+    """The strategy of the cheapest slope kernel (every kernel but naive)."""
+    return _KERNELS[min(KERNELS[1:], key=lambda k: estimated_ps(k, p, n))].strategy
 
 
 def _check_engine_prime(p: int) -> None:
@@ -384,19 +360,25 @@ def _check_engine_prime(p: int) -> None:
 
 
 def incidence_histogram(A: FieldSubset, strategy: Optional[str] = None) -> IncidenceHistogram:
-    """Histogram of i(line) over all p**2 + p lines of the plane."""
+    """Histogram of i(line) over all p**2 + p lines of the plane.
+
+    strategy is a CLI strategy, which runs its cheapest kernel, or a
+    kernel by its table name; None picks default_strategy.
+    """
     p, n = A.p, A.n
     if strategy is None:
         strategy = default_strategy(p, n)
         logger.info("histogram strategy auto-selected: %s (p=%d, n=%d)", strategy, p, n)
-    if strategy not in _TALLIES:
+    serving = [k for k in KERNELS if strategy in (k, _KERNELS[k].strategy)]
+    if not serving:
         raise InvalidParameter(f"unknown histogram strategy {strategy!r}")
+    kernel = min(serving, key=lambda k: estimated_ps(k, p, n))
     _check_engine_prime(p)
     if n == 0:
-        return IncidenceHistogram(p, 0, {}, strategy)
+        return IncidenceHistogram(p, 0, {}, kernel)
     # counts-of-counts accumulator over k = 0..n; index 0 is discarded.
     acc = np.zeros(n + 1, dtype=np.int64)
-    _TALLIES[strategy](A, acc)
+    _KERNELS[kernel].tally(A, acc)
     acc[n] += n  # the vertical family: the n columns x = c, c in A
     counts = {int(k): int(acc[k]) for k in range(1, n + 1) if acc[k]}
-    return IncidenceHistogram(p, n, counts, strategy)
+    return IncidenceHistogram(p, n, counts, kernel)

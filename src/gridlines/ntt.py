@@ -7,7 +7,7 @@ usable here.  We work in the prime field mod Q = 15 * 2**27 + 1
 lengths up to 2**27.  Results are exact as long as every true
 convolution value is below Q: a single incidence profile is bounded by
 the set size n < Q, and k profiles packed as base-(n + 1) digits by
-(n + 1)**k - 1 < Q (see incidence._tally_slope_fast).
+(n + 1)**k - 1 < Q (see incidence._tally_ntt).
 
 Products of two residues below Q < 2**31 fit in 64 bits, which lets the
 butterflies run vectorized on numpy uint64 views: one mod step for the

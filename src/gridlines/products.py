@@ -276,6 +276,15 @@ def _fit_log_exponent(n: int, mean_support: Fraction) -> Optional[float]:
     return math.log(n * n / float(mean_support)) / log_log
 
 
+def _check_census_size(n: int) -> None:
+    """Refuse an n-set one base pair of which forms over CENSUS_BUDGET products."""
+    if n * n > CENSUS_BUDGET:
+        raise InvalidParameter(
+            f"no census of a {n}-set fits: one base pair forms {n * n} "
+            f"products, over the budget of {CENSUS_BUDGET}; the limit is "
+            f"n <= {math.isqrt(CENSUS_BUDGET)}")
+
+
 def support_census(
     A: FieldSubset,
     sample: Optional[int] = None,
@@ -297,11 +306,7 @@ def support_census(
         if sample < total_pairs and seed is None:
             raise InvalidParameter("sampled census needs a seed")
     census_pairs = total_pairs if sample is None else sample
-    if total_pairs > CENSUS_BUDGET:
-        raise InvalidParameter(
-            f"no census of a {n}-set fits: one base pair forms {total_pairs} "
-            f"products, over the budget of {CENSUS_BUDGET}; the limit is "
-            f"n <= {math.isqrt(CENSUS_BUDGET)}")
+    _check_census_size(n)
     if census_pairs * total_pairs > CENSUS_BUDGET:
         raise InvalidParameter(
             f"a census of {census_pairs} base pairs at n = {n} forms "

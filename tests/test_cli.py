@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -99,10 +100,11 @@ class TestMoments:
 
 # Goldens for the engine paths beyond the dense slope_direct branch above.
 @pytest.mark.parametrize("argv, golden", [
-    # slope_fast main build.
-    (["moments", "-p", "101", "--set", "uniform:61:2"], "moments_p101_uniform_61_2.json"),
-    # Sort-branch main build, slope_fast and naive equivalence builds,
-    # both brute-force oracles and the s3 identity.
+    # ntt main build.
+    (["moments", "-p", "101", "--set", "uniform:61:2", "--strategy", "slope_fast"],
+     "moments_p101_uniform_61_2.json"),
+    # Ratio main build, the naive, profile and ntt cross-checks, both
+    # brute-force oracles and the s3 identity.
     (["verify", "-p", "101", "--set", "uniform:6:4"], "verify_p101_uniform_6_4.json"),
     (["sweep", "--primes", "101,211", "--set", "bernoulli:0.3", "--trials", "3",
       "--seed", "5", "--format", "csv"], "sweep_p101_211_bernoulli_0.3_seed5.csv"),
@@ -111,6 +113,20 @@ def test_golden_output(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert out == (DATA / golden).read_text()
+
+
+def test_default_picks_the_profile_kernel_for_the_dense_golden(capsys):
+    # At (101, 61) the profile kernel is estimated at 0.44 ms against
+    # 2.2 ms for the ntt, so the default now reports slope_direct, with
+    # the counts of the slope_fast golden.
+    code, out, _ = run_cli(capsys, "moments", "-p", "101", "--set", "uniform:61:2")
+    assert code == EXIT_OK
+    default = json.loads(out)
+    fast = json.loads((DATA / "moments_p101_uniform_61_2.json").read_text())
+    assert default["config"]["strategy"] == "slope_direct"
+    assert fast["config"]["strategy"] == "slope_fast"
+    default["config"]["strategy"] = "slope_fast"
+    assert default == fast
 
 
 class TestVerify:
@@ -321,6 +337,24 @@ class TestSupportOptions:
         code, out, err = run_cli(capsys, "support", "--prime", str(2**61 - 1), "--set", text)
         assert code == EXIT_USAGE and out == ""
         assert "over the set budget" in err
+
+    @pytest.mark.parametrize("p, text", [
+        (2**61 - 1, "interval:0:4194304"), (2**61 - 1, "uniform:16385"),
+        (2**61 - 1, "ap:1:3:20000"), (2**61 - 1, "gp:2:3:16385"),
+        (1100000009, "paper-interval"),  # 16583 elements
+    ])
+    def test_no_census_fits_before_the_set_is_built(self, capsys, monkeypatch, p, text):
+        def never(*args):
+            raise AssertionError("set built although no census of it fits")
+
+        for name in ("from_list", "gen_uniform", "gen_interval", "gen_ap", "gen_gp",
+                     "gen_paper_interval"):
+            monkeypatch.setattr(gridlines.fieldsets, name, never)
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "support", "--prime", str(p), "--set", text)
+        assert time.perf_counter() - t0 < 0.1
+        assert code == EXIT_USAGE and out == ""
+        assert "no census of a" in err and "n <= 16384" in err
 
     def test_a_set_that_fits_still_runs_at_mersenne_61(self, capsys):
         code, out, _ = run_cli(capsys, "support", "--prime", str(2**61 - 1),

@@ -405,3 +405,25 @@ class TestSetBudget:
     def test_every_family_row_names_a_generator(self):
         for row in fieldsets._FAMILIES.values():
             assert callable(getattr(fieldsets, row.generator))
+
+
+class TestDescriptorSize:
+    @pytest.mark.parametrize("text, size", [
+        ("list:5,3,1", 3), ("uniform:7", 7), ("uniform:90:3", 90), ("interval:4:9", 9),
+        ("ap:1:5:12", 12), ("gp:1:3:6", 6), ("paper-interval", 5), ("bernoulli:0.3", None),
+        ("interval:0:500", 101),  # a length past p reads p; realize refuses it
+    ])
+    def test_size_is_the_realized_n(self, text, size):
+        m = validate_prime(101)
+        spec = parse_set_descriptor(text)
+        assert spec.size(101) == size
+        if size is not None and text != "interval:0:500":
+            assert spec.realize(m, seed=1).n == size
+
+    def test_size_refuses_what_realize_refuses(self, monkeypatch):
+        monkeypatch.setattr(fieldsets, "SET_BUDGET", 10)
+        for text in ("interval:0:11", "uniform:11", "bernoulli:1/2"):
+            with pytest.raises(InvalidParameter, match="over the set budget"):
+                parse_set_descriptor(text).size(101)
+        with pytest.raises(DescriptorError, match="unknown family"):
+            fieldsets.SetSpec("frobnicate", ()).size(101)

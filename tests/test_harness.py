@@ -3,9 +3,10 @@ import dataclasses
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from gridlines import fieldsets, harness
+from gridlines import fieldsets, harness, incidence, products
 from gridlines.errors import GridlinesError, InvalidParameter
 from gridlines.harness import (
     ExperimentConfig,
@@ -49,6 +50,16 @@ class TestRunMoments:
     def test_timings_flag(self):
         assert run_moments(cfg()).timings_ms is None
         assert "histogram" in run_moments(cfg(timings=True)).timings_ms
+
+    def test_a_canonical_descriptor_is_kept_not_copied(self):
+        config = cfg(primes=(101,), set_descriptor="list:" + ",".join(map(str, range(3, 90, 7))))
+        assert run_moments(config).descriptor is config.set_descriptor
+        assert run_verify(config).descriptor is config.set_descriptor
+
+    def test_a_list_is_still_canonicalized(self):
+        assert run_moments(cfg(set_descriptor="list:4,2,0")).descriptor == "list:0,2,4"
+        report = run_moments(cfg(primes=(7,), set_descriptor="list:5,3,1"))
+        assert report.descriptor == "list:1,3,5"
 
 
 def _shift_s3(hist):
@@ -113,18 +124,80 @@ class TestRunVerify:
         assert run_verify(small).timings_ms is None
         assert "timings_ms" not in run_verify(small).to_json_dict()
         timings = run_verify(dataclasses.replace(small, timings=True)).timings_ms
+        # A ratio build, cross-checked by the other three kernels.
         assert set(timings) == {
-            "histogram", "histogram:naive", "histogram:slope_fast",
+            "histogram", "histogram:naive", "histogram:profile", "histogram:ntt",
             "t_brute", "q_brute", "algebraic"}
         assert all(type(ms) is float and ms >= 0 for ms in timings.values())
-        # p**2 n over NAIVE_BUDGET and n over every oracle cap: the two
-        # slope strategies only.
-        large = cfg(primes=(2003,), set_descriptor="paper-interval", timings=True)
-        assert set(run_verify(large).timings_ms) == {"histogram", "histogram:slope_fast"}
+        # n = 50 is over every oracle cap, and only the profile kernel, the
+        # cheapest other one, fits the budget (naive and ntt take seconds).
+        large = cfg(primes=(10007,), set_descriptor="paper-interval", timings=True)
+        assert set(run_verify(large).timings_ms) == {"histogram", "histogram:profile"}
 
-    def test_naive_skipped_above_budget(self):
-        rep = run_verify(cfg(primes=(2003,), set_descriptor="paper-interval"))
-        assert rep.strategy_equivalence is True  # slope strategies still compared
+    def test_naive_skipped_above_budget(self, monkeypatch):
+        p, n = 2003, 22  # paper-interval
+        monkeypatch.setattr(harness, "CROSS_CHECK_BUDGET_PS",
+                            incidence.estimated_ps("naive", p, n) - 1)
+        rep = run_verify(cfg(primes=(p,), set_descriptor="paper-interval", timings=True))
+        assert "histogram:naive" not in rep.timings_ms
+        assert "histogram:profile" in rep.timings_ms
+        assert rep.strategy_equivalence is True
+
+    @pytest.mark.parametrize("p, descriptor, strategy", [
+        (31, "uniform:5:7", None), (101, "uniform:61:2", None), (101, "uniform:61:2", "naive"),
+        (101, "uniform:61:2", "slope_fast"), (1009, "interval:1:20", "slope_direct"),
+        (10007, "paper-interval", None), (31, "uniform:0:1", None),
+    ])
+    def test_cross_checks_skip_the_builder_and_run_at_least_one(
+            self, monkeypatch, p, descriptor, strategy):
+        build = harness.incidence_histogram
+        kernels = []
+
+        def recording(A, strategy=None):
+            hist = build(A, strategy)
+            kernels.append(hist.kernel)
+            return hist
+
+        monkeypatch.setattr(harness, "incidence_histogram", recording)
+        rep = run_verify(cfg(primes=(p,), set_descriptor=descriptor, strategy=strategy))
+        builder, checks = kernels[0], kernels[1:]
+        assert checks and builder not in checks and len(set(checks)) == len(checks)
+        n = rep.n
+        cheapest = min((k for k in incidence.KERNELS if k != builder),
+                       key=lambda k: incidence.estimated_ps(k, p, n))
+        assert cheapest in checks
+        for kernel in set(incidence.KERNELS) - {builder, cheapest}:
+            fits = incidence.estimated_ps(kernel, p, n) <= harness.CROSS_CHECK_BUDGET_PS
+            assert (kernel in checks) == fits, kernel
+        assert rep.strategy_equivalence is True
+
+    def test_the_cheapest_check_runs_even_over_the_budget(self, monkeypatch):
+        monkeypatch.setattr(harness, "CROSS_CHECK_BUDGET_PS", 0)
+        rep = run_verify(cfg(primes=(1009,), set_descriptor="interval:1:20", timings=True))
+        assert set(rep.timings_ms) == {"histogram", "histogram:profile", "algebraic"}
+        assert rep.strategy_equivalence is True
+
+    @pytest.mark.parametrize("p, descriptor", [(1009, "interval:1:20"), (10007, "ap:3:5:30")])
+    def test_split_ratio_runs_fail_verify(self, monkeypatch, p, descriptor):
+        # Mark every second repeated product as a run start: the ratio
+        # kernel miscounts the lines through 3 or more points, and only
+        # it reads the runs, so the cross-check builds disagree with it.
+        runs = products._product_runs
+
+        def split(*args):
+            for start, stop, run_start in runs(*args):
+                repeats = np.flatnonzero(~run_start)
+                run_start.flat[repeats[1::2]] = True
+                yield start, stop, run_start
+
+        config = cfg(primes=(p,), set_descriptor=descriptor, timings=True)
+        assert run_verify(config).overall_pass
+        monkeypatch.setattr(products, "_product_runs", split)
+        rep = run_verify(config)
+        assert rep.strategy == "slope_direct" and rep.strategy_equivalence is False
+        assert not rep.overall_pass
+        if p == 10007:  # the ntt is over the budget here: profile alone catches it
+            assert set(rep.timings_ms) == {"histogram", "histogram:profile"}
 
     def test_empty_set_verifies_cleanly(self):
         rep = run_verify(cfg(primes=(31,), set_descriptor="uniform:0:1"))

@@ -17,6 +17,7 @@ from gridlines.fieldsets import (
     validate_prime,
 )
 from gridlines.incidence import (
+    KERNELS,
     STRATEGIES,
     IncidenceHistogram,
     Sloped,
@@ -25,10 +26,10 @@ from gridlines.incidence import (
     _profiles,
     all_lines,
     default_strategy,
+    estimated_ps,
     incidence_count,
     incidence_histogram,
     moments,
-    slope_profile,
 )
 from gridlines.rng import SplitMix64
 
@@ -66,6 +67,13 @@ class TestIncidenceCount:
             incidence_count(UNIT_SQUARE, Sloped(5, 0))
 
 
+def slope_profile(A, m):
+    """Entry b is i(Sloped(m, b)), read from _profiles for the one slope m."""
+    elems = np.asarray(A.elements, dtype=np.intp)
+    keys = np.empty((1, A.n, A.n), dtype=np.intp)
+    return _profiles(elems, np.array([m], dtype=np.intp), A.p, keys)[0]
+
+
 class TestSlopeProfile:
     def test_hand_case(self):
         assert list(slope_profile(UNIT_SQUARE, 0)) == [2, 2, 0, 0, 0]
@@ -96,11 +104,6 @@ class TestSlopeProfile:
             inv = pow(m, -1, p)
             assert sorted(slope_profile(A, m)) == sorted(slope_profile(A, inv))
 
-    def test_refused_past_engine_max_p(self):
-        A = from_list(validate_prime(2**31 + 11), [0, 1])
-        with pytest.raises(InvalidParameter, match=f"p <= {2**24}"):
-            slope_profile(A, 1)
-
 
 @pytest.mark.parametrize(
     "n, k", [(1, 30), (71, 5), (72, 4), (210, 4), (211, 3), (1261, 3), (1262, 2)]
@@ -125,6 +128,11 @@ class TestHistogram:
         for strat in STRATEGIES:
             assert incidence_histogram(UNIT_SQUARE, strat).strategy == strat
         assert incidence_histogram(UNIT_SQUARE).strategy == "slope_direct"
+        for kernel in KERNELS:
+            h = incidence_histogram(UNIT_SQUARE, kernel)
+            assert h.kernel == kernel and h.strategy in STRATEGIES
+        assert incidence_histogram(UNIT_SQUARE, "ratio").strategy == "slope_direct"
+        assert incidence_histogram(UNIT_SQUARE, "ntt").strategy == "slope_fast"
         assert incidence_histogram(from_list(P5, []), "slope_fast").strategy == "slope_fast"
         by_hand = IncidenceHistogram(5, 2, {2: 6, 1: 12})
         assert by_hand.strategy == ""
@@ -146,10 +154,9 @@ class TestHistogram:
     @given(st.sampled_from(SMALL_PRIMES), st.integers(0, 2**32 - 1))
     def test_strategy_equivalence(self, p, seed):
         A = random_subset(p, seed)
-        naive = incidence_histogram(A, "naive")
-        direct = incidence_histogram(A, "slope_direct")
-        fast = incidence_histogram(A, "slope_fast")
-        assert naive.counts == direct.counts == fast.counts
+        naive = incidence_histogram(A, "naive").counts
+        for strategy in STRATEGIES + KERNELS:  # every kernel at any density
+            assert incidence_histogram(A, strategy).counts == naive, strategy
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_paired_strategies_match_naive_on_edge_sets(self, p):
@@ -159,8 +166,9 @@ class TestHistogram:
         for elements in sets:
             A = from_list(m, elements)
             naive = incidence_histogram(A, "naive").counts
-            assert incidence_histogram(A, "slope_direct").counts == naive, elements
-            assert incidence_histogram(A, "slope_fast").counts == naive, elements
+            assert naive == literal_counts(A), elements
+            for strategy in STRATEGIES + KERNELS:
+                assert incidence_histogram(A, strategy).counts == naive, (strategy, elements)
 
     @pytest.mark.parametrize("p", [73, 79])
     def test_packed_fast_matches_naive_across_digit_capacity(self, p):
@@ -253,10 +261,32 @@ class TestNaive:
             raise AssertionError("tally started past ENGINE_MAX_P")
 
         A = from_list(validate_prime(2**31 + 11), [0, 1])
-        for strategy in STRATEGIES:
-            monkeypatch.setitem(incidence._TALLIES, strategy, never)
-            with pytest.raises(InvalidParameter):
+        for kernel, row in list(incidence._KERNELS.items()):
+            monkeypatch.setitem(incidence._KERNELS, kernel, row._replace(tally=never))
+        for strategy in STRATEGIES + KERNELS:
+            with pytest.raises(InvalidParameter, match=f"p <= {2**24}"):
                 incidence_histogram(A, strategy)
+
+
+class TestKernelTable:
+    def test_a_strategy_runs_its_cheapest_kernel(self):
+        for p, n in [(101, 6), (101, 61), (1009, 19), (1009, 101), (211, 150)]:
+            A = gen_uniform(validate_prime(p), n, seed=p)
+            ratio, profile = (estimated_ps(k, p, n) for k in ("ratio", "profile"))
+            direct = incidence_histogram(A, "slope_direct")
+            assert direct.kernel == ("ratio" if ratio < profile else "profile")
+            assert incidence_histogram(A, "slope_fast").kernel == "ntt"
+            assert incidence_histogram(A, "naive").kernel == "naive"
+            assert direct.counts == incidence_histogram(A).counts
+
+    def test_estimates_are_integers_in_their_units(self):
+        # ntt: (p + 1) / 2 = 51 slope classes at k = 5 per convolution
+        # make 11 convolutions of 256 transform points.
+        assert estimated_ps("naive", 101, 61) == 101 * 101 * 61 * 700
+        assert estimated_ps("ratio", 101, 61) == 61 * 62 // 2 * 60**2 * 12500
+        assert estimated_ps("profile", 101, 61) == 51 * (61**2 + 202) * 2200
+        assert estimated_ps("ntt", 101, 61) == 11 * (256 + 840) * 185000
+        assert all(type(estimated_ps(k, 40009, 100)) is int for k in KERNELS)
 
 
 def profile_counts(A):
@@ -274,16 +304,16 @@ def profile_counts(A):
 
 
 def sparse_counts(A):
-    """slope_direct's histogram of a set in its sparse regime, p > 2 n**2."""
+    """The ratio kernel's histogram of a sparse set, p > 2 n**2."""
     assert A.p > 2 * A.n**2
-    return incidence_histogram(A, "slope_direct").counts
+    return incidence_histogram(A, "ratio").counts
 
 
 RATIO_PRIMES = [17, 19, 23, 29, 31, 37, 53, 73, 101, 127, 163, 211]
 
 
 class TestSparseRatioBranch:
-    """slope_direct for p > 2 n**2, which counts lines from runs of equal ratios."""
+    """The ratio kernel, which counts lines from runs of equal ratios, on sparse sets."""
 
     @pytest.mark.parametrize("p", NAIVE_PRIMES)
     def test_matches_naive_on_every_sparse_set(self, p):
@@ -296,15 +326,20 @@ class TestSparseRatioBranch:
                 assert sparse_counts(A) == incidence_histogram(A, "naive").counts, elements
 
     def test_matches_naive_at_the_threshold(self):
-        # p = 2 n**2 + 1 is the smallest sparse prime at n = 3.
+        # p = 2 n**2 + 1 at n = 3.
         m = validate_prime(19)
         for elements in combinations(range(19), 3):
             A = from_list(m, elements)
             assert sparse_counts(A) == incidence_histogram(A, "naive").counts, elements
 
-    @pytest.mark.parametrize("p, n, sparse", [(19, 3, True), (17, 3, False), (13, 2, True),
-                                              (7, 2, False), (3, 1, True)])
+    # slope_direct runs the ratio kernel where the table estimates it
+    # cheaper than the profile kernel, up to about n**2 = 0.7 p at these
+    # primes; n near 0.6 sqrt(p) and 1.4 sqrt(p) lie on either side.
+    @pytest.mark.parametrize("p, n, sparse", [(19, 3, True), (13, 2, True), (3, 1, True),
+                                              (503, 18, True), (503, 20, False),
+                                              (1009, 19, True), (2003, 56, False)])
     def test_branch_threshold(self, monkeypatch, p, n, sparse):
+        assert (estimated_ps("ratio", p, n) < estimated_ps("profile", p, n)) == sparse
         calls = []
         original = incidence._run_length_counts
 
@@ -364,7 +399,7 @@ class TestSparseRatioBranch:
         n = 2 + rng.below(min(40, int((p / 2) ** 0.5)) - 1)
         A = gen_uniform(validate_prime(p), n, seed=rng.next_u64())
         assert A.p > 2 * n * n
-        ms = moments(incidence_histogram(A, "slope_direct"))
+        ms = moments(incidence_histogram(A, "ratio"))
         assert ms.s1 == (p + 1) * n * n
         assert ms.s2 == n**4 + p * n * n
 
@@ -417,9 +452,9 @@ class TestMoments:
 
 class TestDefaultStrategy:
     def test_rule(self):
-        # Measured equal-cost points: n near 290 at p = 1009 and 367 at
-        # p = 2003 (incidence._CROSSOVER_K); the rule keeps slope_direct
-        # up to n = 245 and 362.  Pinned on both sides.
+        # Measured equal-cost points of the profile and ntt kernels: n
+        # between 280 and 300 at p = 1009, and between 350 and 390 at
+        # p = 2003.  Pinned on both sides.
         assert default_strategy(2003, 159) == "slope_direct"
         assert default_strategy(1009, 200) == "slope_direct"
         assert default_strategy(2003, 350) == "slope_direct"
@@ -427,6 +462,19 @@ class TestDefaultStrategy:
         assert default_strategy(2003, 600) == "slope_fast"
         assert default_strategy(1009, 605) == "slope_fast"
         assert default_strategy(2003, 1002) == "slope_fast"
+
+    @pytest.mark.parametrize("p, n, kernel", [
+        (101, 61, "profile"),                     # moments-dense warm-up
+        (1009, 101, "profile"), (2003, 159, "profile"),  # moments-p23
+        (1009, 605, "ntt"), (2003, 1002, "ntt"),  # moments-dense
+        (101, 6, "ratio"), (211, 8, "ratio"), (101, 12, "profile"),  # census-verify
+        (40009, 100, "ratio"),                    # paper-interval
+    ])
+    def test_workload_instances_keep_their_kernel(self, p, n, kernel):
+        A = gen_uniform(validate_prime(p), n, seed=1)
+        assert default_strategy(p, n) == incidence._KERNELS[kernel].strategy
+        if p * n < 10**6:
+            assert incidence_histogram(A).kernel == kernel
 
     def test_choice_is_logged(self, caplog):
         with caplog.at_level("INFO", logger="gridlines.incidence"):

@@ -374,3 +374,11 @@ class TestRatioTables:
         nonzero, inverses = products._ratio_tables(A)
         assert nonzero.tolist() == [[10, 5], [3, 8], [8, 5]]
         assert (nonzero * inverses % p == 1).all()
+
+
+def test_census_size_limit_is_n_2_14():
+    from gridlines.products import _check_census_size
+
+    _check_census_size(2**14)
+    with pytest.raises(InvalidParameter, match="n <= 16384"):
+        _check_census_size(2**14 + 1)

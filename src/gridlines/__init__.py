@@ -67,13 +67,8 @@ from .harness import (
 )
 from .incidence import (
     IncidenceHistogram,
-    Line,
     MomentSet,
-    Sloped,
-    Vertical,
-    all_lines,
     default_strategy,
-    incidence_count,
     incidence_histogram,
     moments,
 )

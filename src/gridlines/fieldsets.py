@@ -138,13 +138,19 @@ class FieldSubset:
         return i < len(self.elements) and self.elements[i] == x
 
 
+def element_dtype(p: int) -> np.dtype:
+    """The dtype of element_array for the modulus p."""
+    return np.dtype(np.int32 if (p - 1) ** 2 < 1 << 31 else np.int64 if p < 1 << 31 else object)
+
+
 def element_array(A: FieldSubset) -> np.ndarray:
     """The elements of A as a numpy array for exact modular arithmetic.
 
-    The dtype is int64 for p < 2**31, where the product of two residues
-    fits, and object (Python integers) above, where it would overflow.
+    The dtype is the narrowest in which the product of two residues fits:
+    int32 while (p - 1)**2 < 2**31 (p <= 46337), int64 for p < 2**31 and
+    object (Python integers) above, where int64 would overflow.
     """
-    return np.array(A.elements, dtype=np.int64 if A.p < 1 << 31 else object)
+    return np.array(A.elements, dtype=element_dtype(A.p))
 
 
 def _canonical(m: PrimeModulus, items: Iterable[int], provenance: str) -> FieldSubset:

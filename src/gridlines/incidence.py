@@ -1,8 +1,8 @@
-"""Line enumeration, incidence counting, and exact moment computation.
+"""Incidence histograms and exact moment computation.
 
 For a subset A of the prime field, the point set is the grid A x A and
-the line family is all p**2 + p affine lines: Sloped(m, b) is
-y = m*x + b and Vertical(c) is x = c.  The incidence count i(line) is
+the line family is all p**2 + p affine lines: the sloped lines
+y = m*x + b and the vertical lines x = c.  The incidence count i(line) is
 the number of grid points on the line.  The histogram maps each
 incidence value k >= 1 to the number of lines attaining it; lines that
 miss the grid entirely are only tracked through the derived zero_lines
@@ -22,7 +22,9 @@ its own unit times picoseconds per unit, fitted on one core of a 2-core
 x86-64 host:
 
     naive    p**2 n membership lookups, 700 ps; the reference
-    ratio    n (n + 1) / 2 * (n - 1)**2 ratio products, 12.5 ns (slope_direct)
+    ratio    n (n + 1) / 2 * (n - 1)**2 ratio products of 4 or 8 bytes
+             (fieldsets.element_dtype) plus 114,000 for the tables and
+             index arrays when n > 1 (0.2 ms), 1.75 ns a byte (slope_direct)
     profile  (p + 1) / 2 slopes of n**2 keys plus 2p bins, 2.2 ns (slope_direct)
     ntt      per packed convolution, L = ntt.conv_length(p) transform points
              plus 840 for the rest, 185 ns (slope_fast)
@@ -54,13 +56,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import ntt
-from .errors import InvalidParameter, ModulusMismatch
-from .fieldsets import FieldSubset
+from .errors import InvalidParameter
+from .fieldsets import FieldSubset, element_dtype
 from .products import _inverses, _ratio_tables, _run_length_counts
 
 logger = logging.getLogger(__name__)
@@ -73,50 +75,6 @@ ENGINE_MAX_P = 1 << 24
 # Target element count per vectorized chunk of slopes; sized so chunk
 # buffers stay cache-resident (larger chunks go memory-bandwidth bound).
 _CHUNK_TARGET = 1 << 16
-
-
-@dataclass(frozen=True)
-class Sloped:
-    """Line y = m*x + b."""
-
-    m: int
-    b: int
-
-
-@dataclass(frozen=True)
-class Vertical:
-    """Line x = c."""
-
-    c: int
-
-
-Line = Union[Sloped, Vertical]
-
-
-def all_lines(p: int) -> Iterator[Line]:
-    """All p**2 + p affine lines, sloped first."""
-    for m in range(p):
-        for b in range(p):
-            yield Sloped(m, b)
-    for c in range(p):
-        yield Vertical(c)
-
-
-def _check_coeff(value: int, p: int, name: str) -> None:
-    if not 0 <= value < p:
-        raise ModulusMismatch(f"line {name} {value} is not a residue mod {p}")
-
-
-def incidence_count(A: FieldSubset, line: Line) -> int:
-    """Number of points of A x A on the line."""
-    p = A.p
-    if isinstance(line, Vertical):
-        _check_coeff(line.c, p, "offset")
-        return A.n if line.c in A else 0
-    _check_coeff(line.m, p, "slope")
-    _check_coeff(line.b, p, "intercept")
-    m, b = line.m, line.b
-    return sum(1 for x in A.elements if (m * x + b) % p in A)
 
 
 @dataclass(frozen=True)
@@ -174,7 +132,7 @@ def _tally_naive(A: FieldSubset, acc: np.ndarray) -> None:
     """Count every sloped line from its own equation: x in A with m*x + b in A.
 
     Slopes are processed in chunks of about _CHUNK_TARGET // p, so one
-    chunk holds about _CHUNK_TARGET line counts i(Sloped(m, b)).
+    chunk holds about _CHUNK_TARGET line counts i(y = m*x + b).
     member is the indicator of A laid out twice, so member[m*x % p + b]
     for b < p needs no reduction: for each x the lines of slope m read
     the p consecutive entries starting at m*x % p.
@@ -214,7 +172,7 @@ def _slope_classes(p: int) -> Tuple[Tuple[np.ndarray, int], ...]:
 
 
 def _profiles(elems: np.ndarray, slopes: np.ndarray, p: int, keys: np.ndarray) -> np.ndarray:
-    """Intercept profiles of c slopes: entry [j, b] is i(Sloped(slopes[j], b)).
+    """Intercept profiles of c slopes: entry [j, b] is i(y = slopes[j]*x + b).
 
     keys is an intp buffer of at least (c, n, n) entries, filled in place
     so bincount reads it without a cast copy.  Slope j keys each point
@@ -287,7 +245,7 @@ def _tally_ntt(A: FieldSubset, acc: np.ndarray) -> None:
     The indicator f of A (as y-values) is transformed once.  Each
     convolution takes k slopes m_0..m_{k-1} and the second factor
     g = sum_j B**j * 1_{-m_j A} with B = n + 1, so entry b of f * g is
-    sum_j B**j * i(Sloped(m_j, b)).  Every count is at most n < B, so
+    sum_j B**j * i(y = m_j*x + b).  Every count is at most n < B, so
     the digits of that value in base B are the k profiles, and the
     value itself is below B**k <= NTT_PRIME, so the transform returns it
     exactly (k = _digit_capacity(n)).
@@ -333,8 +291,9 @@ class _Kernel(NamedTuple):
 # picoseconds, pick every build and every cross-check of verify.
 _KERNELS = {
     "naive": _Kernel(_tally_naive, "naive", lambda p, n: p * p * n, 700),  # lookups
-    "ratio": _Kernel(_tally_ratio, "slope_direct",
-                     lambda p, n: n * (n + 1) // 2 * (n - 1) ** 2, 12500),  # products
+    "ratio": _Kernel(_tally_ratio, "slope_direct",  # product bytes plus 0.2 ms of set-up
+                     lambda p, n: n * (n + 1) // 2 * (n - 1) ** 2 * element_dtype(p).itemsize
+                     + 114_000 * (n > 1), 1750),
     "profile": _Kernel(_tally_profile, "slope_direct",
                        lambda p, n: (p + 1) // 2 * (n * n + 2 * p), 2200),  # keys plus bins
     "ntt": _Kernel(_tally_ntt, "slope_fast", _ntt_units, 185000),  # transform points

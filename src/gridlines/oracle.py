@@ -11,9 +11,10 @@ that are NOT all equal (each lies on exactly one common line) and add
 (p + 1) * n**2 for the all-equal family.
 
 Both oracles read one boolean collinearity tensor over the n**2 grid
-points, built with numpy from `fieldsets.element_array`, whose dtype is
-int64 for p < 2**31 and object (Python integers) above, where the
-determinant products could overflow int64.
+points, built with numpy from `fieldsets.element_array` in its three
+tiers, so no product of two residues overflows: int32 while
+(p - 1)**2 < 2**31 (p <= 46337), int64 for p < 2**31 and object
+(Python integers) above.
 
 Costs are Theta(n**6) for triples and Theta(n**8) for quadruples, hence
 the hard size caps, which `harness.run_verify` takes as fixed
@@ -21,7 +22,7 @@ thresholds.
 
 algebraic_triple_count is not a tuple enumeration: it counts the
 ratio-equation 6-tuples through the product-support census kernel of
-`products`, about n**4 products sorted in blocks of 2**16.
+`products`, about n**4 products sorted in blocks of 2**15.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from .products import _product_moments, _ratio_tables
 T_BRUTE_CAP = 8
 Q_BRUTE_CAP = 6
 ALGEBRAIC_CAP = 20
+
+# Residues per block of _collinear_tensor slabs: 64 KiB per int32 buffer.
+_SLAB_ENTRIES = 1 << 14
 
 
 class Point(NamedTuple):
@@ -56,14 +60,28 @@ def collinear(u, v, w, p: int) -> bool:
 
 
 def _collinear_tensor(A: FieldSubset) -> np.ndarray:
-    """Boolean tensor D[a, b, c] = collinearity of grid points a, b, c."""
-    p = A.p
+    """Boolean tensor D[a, b, c] = collinearity of grid points a, b, c.
+
+    Slab a is M[b, c] = dx_b * dy_c mod p, with (dx_b, dy_b) = b - a:
+    the determinant of (b - a, c - a) is M[b, c] - M[c, b], so the three
+    points are collinear iff M equals its transpose there.  Slabs are
+    formed in place, about _SLAB_ENTRIES residues at a time.
+    """
+    p, N = A.p, A.n * A.n
     elems = element_array(A)
     xs, ys = np.repeat(elems, A.n), np.tile(elems, A.n)
     dx = (xs[None, :] - xs[:, None]) % p   # dx[a, b] = x_b - x_a
     dy = (ys[None, :] - ys[:, None]) % p
-    det = dx[:, :, None] * dy[:, None, :] - dx[:, None, :] * dy[:, :, None]
-    return det % p == 0
+    tensor = np.empty((N, N, N), dtype=bool)
+    block = max(1, _SLAB_ENTRIES // (N * N))
+    slabs, quotients = np.empty((2, min(block, N), N, N), dtype=elems.dtype)
+    for start in range(0, N, block):
+        stop = min(start + block, N)
+        m, quot = slabs[:stop - start], quotients[:stop - start]
+        np.multiply(dx[start:stop, :, None], dy[start:stop, None, :], out=m)
+        m -= np.multiply(np.floor_divide(m, p, out=quot), p, out=quot)  # m % p
+        np.equal(m, m.transpose(0, 2, 1), out=tensor[start:stop])
+    return tensor
 
 
 def t_brute(A: FieldSubset, cap: int = T_BRUTE_CAP) -> int:
@@ -73,7 +91,7 @@ def t_brute(A: FieldSubset, cap: int = T_BRUTE_CAP) -> int:
         raise CapExceeded(f"t_brute: n = {n} exceeds cap {cap}")
     if n == 0:
         return 0
-    not_all_equal = int(_collinear_tensor(A).sum()) - n * n
+    not_all_equal = int(np.count_nonzero(_collinear_tensor(A))) - n * n
     return not_all_equal + (p + 1) * n * n
 
 
@@ -90,16 +108,13 @@ def q_brute(A: FieldSubset, cap: int = Q_BRUTE_CAP) -> int:
     if n == 0:
         return 0
     d = _collinear_tensor(A)
+    block = np.empty_like(d)
     total = 0
-    for a in range(n * n):
-        da = d[a]
-        block = (
-            da[:, :, None]      # (a, b, c)
-            & da[:, None, :]    # (a, b, d)
-            & da[None, :, :]    # (a, c, d)
-            & d                 # (b, c, d)
-        )
-        total += int(block.sum())
+    for da in d:
+        np.logical_and(da[:, :, None], da[:, None, :], out=block)  # (a, b, c), (a, b, d)
+        block &= da[None, :, :]  # (a, c, d)
+        block &= d               # (b, c, d)
+        total += int(np.count_nonzero(block))
     not_all_equal = total - n * n
     return not_all_equal + (p + 1) * n * n
 

@@ -16,16 +16,17 @@ proven meaning; it is a diagnostic only.
 
 One batched kernel, `_product_runs`, forms for a block of base pairs the
 products of a row of each of two residue tables mod p, sorts each pair's
-row and marks its run starts.  A block holds about 2**16 products (one
-pair when a row is larger), so the transient arrays stay near 2 MB.  Two
+row and marks its run starts.  A block holds about 2**15 products (one
+pair when a row is larger), so the transient arrays stay near 1 MB.  Two
 reductions read it: `_product_moments` takes each pair's support from
 the run starts and its second moment from the squared run lengths, and
 `_run_length_counts` counts runs by length over all pairs.  The census
 reads the difference table D[a, b] = a - b mod p; `oracle`'s algebraic
 count and `incidence`'s sparse slope_direct read `_ratio_tables`, whose
 pairs are the ratios (a1 - a2) / (a3 - a4).  Arrays come from
-`fieldsets.element_array`: int64 for p < 2**31 and object (Python
-integers) above, where the products would overflow int64.
+`fieldsets.element_array` in three tiers, so a product of two residues
+never overflows: int32 while (p - 1)**2 < 2**31 (p <= 46337), int64
+for p < 2**31 and object (Python integers) above.
 
 A full census forms n**4 products and a sampled one sample * n**2;
 support_census refuses more than CENSUS_BUDGET before doing any work.
@@ -54,13 +55,15 @@ from .errors import InvalidParameter
 from .fieldsets import FieldSubset, element_array
 from .rng import SplitMix64
 
-# Products per kernel block: 2**16 int64 values are 512 KiB per array.
-_BLOCK_PRODUCTS = 1 << 16
+# Products per kernel block: 2**15 values are 128 KiB per int32 array
+# (256 KiB in int64).  On the host named below, 2**16 made the census at
+# n = 30 no faster and doubled its traced peak (2.2 against 1.1 MiB).
+_BLOCK_PRODUCTS = 1 << 15
 
 # Most products one census may form (n**4 in full, sample * n**2
-# sampled): a full census up to n = 128, about 4 s of kernel time at the
-# 60 million products per second measured on one core of a 2-core
-# x86-64 host.
+# sampled): a full census up to n = 128, about 3 s of kernel time on
+# int32 residues and 4.4 s on int64 ones, measured on one core of a
+# 2-core x86-64 host.
 CENSUS_BUDGET = 1 << 28
 
 
@@ -105,8 +108,8 @@ def _difference_table(A: FieldSubset) -> np.ndarray:
 
 
 def _inverses(values: np.ndarray, p: int) -> np.ndarray:
-    """Inverses of nonzero residues mod p, as values**(p-2) mod p: any p for
-    object arrays, p < 2**31 for int64, as element_array gives them."""
+    """Inverses of nonzero residues mod p, as values**(p-2) mod p, in any
+    dtype whose product of two residues fits, as element_dtype(p) does."""
     inverse = np.ones_like(values)
     base = values.copy()
     e = p - 2

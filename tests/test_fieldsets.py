@@ -80,13 +80,16 @@ class TestCanonicalForm:
 
 
 class TestElementArray:
-    # 2**31 - 1 is the largest prime whose residue products fit in int64.
-    @pytest.mark.parametrize("p, dtype", [(101, np.int64), (2**31 - 1, np.int64),
+    # 46337 is the largest prime whose residue products fit in int32
+    # (46340**2 < 2**31 < 46341**2), 2**31 - 1 the largest for int64; the
+    # product (p - 1)**2 would wrap round in a narrower dtype.
+    @pytest.mark.parametrize("p, dtype", [(101, np.int32), (46337, np.int32),
+                                          (46349, np.int64), (2**31 - 1, np.int64),
                                           (2**31 + 11, object), (2**61 - 1, object)])
     def test_dtype_switch(self, p, dtype):
         A = from_list(validate_prime(p), [0, 1, p - 1])
         elems = element_array(A)
-        assert elems.dtype == dtype
+        assert elems.dtype == dtype == fieldsets.element_dtype(p)
         assert elems.tolist() == [0, 1, p - 1]
         assert [int(x) for x in elems * elems % p] == [0, 1, 1]
 

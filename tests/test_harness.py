@@ -124,15 +124,23 @@ class TestRunVerify:
         assert run_verify(small).timings_ms is None
         assert "timings_ms" not in run_verify(small).to_json_dict()
         timings = run_verify(dataclasses.replace(small, timings=True)).timings_ms
-        # A ratio build, cross-checked by the other three kernels.
+        # A profile build, cross-checked by the other three kernels.
         assert set(timings) == {
-            "histogram", "histogram:naive", "histogram:profile", "histogram:ntt",
+            "histogram", "histogram:naive", "histogram:ratio", "histogram:ntt",
             "t_brute", "q_brute", "algebraic"}
         assert all(type(ms) is float and ms >= 0 for ms in timings.values())
         # n = 50 is over every oracle cap, and only the profile kernel, the
         # cheapest other one, fits the budget (naive and ntt take seconds).
         large = cfg(primes=(10007,), set_descriptor="paper-interval", timings=True)
         assert set(run_verify(large).timings_ms) == {"histogram", "histogram:profile"}
+
+    # The verify calls of the census-verify benchmark run every kernel.
+    @pytest.mark.parametrize("p, n", [(101, 6), (211, 6), (211, 8), (101, 12)])
+    def test_small_verify_runs_all_four_kernels(self, p, n):
+        rep = run_verify(cfg(primes=(p,), set_descriptor=f"uniform:{n}:1", timings=True))
+        assert rep.overall_pass and rep.strategy == "slope_direct"
+        assert {name for name in rep.timings_ms if name.startswith("histogram:")} == {
+            "histogram:naive", "histogram:ratio", "histogram:ntt"}
 
     def test_naive_skipped_above_budget(self, monkeypatch):
         p, n = 2003, 22  # paper-interval

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,14 +21,10 @@ from gridlines.incidence import (
     KERNELS,
     STRATEGIES,
     IncidenceHistogram,
-    Sloped,
-    Vertical,
     _digit_capacity,
     _profiles,
-    all_lines,
     default_strategy,
     estimated_ps,
-    incidence_count,
     incidence_histogram,
     moments,
 )
@@ -37,6 +34,42 @@ P5 = validate_prime(5)
 UNIT_SQUARE = from_list(P5, [0, 1])
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@dataclass(frozen=True)
+class Sloped:
+    """Line y = m*x + b."""
+
+    m: int
+    b: int
+
+
+@dataclass(frozen=True)
+class Vertical:
+    """Line x = c."""
+
+    c: int
+
+
+def all_lines(p):
+    """All p**2 + p affine lines, sloped first."""
+    for m in range(p):
+        for b in range(p):
+            yield Sloped(m, b)
+    for c in range(p):
+        yield Vertical(c)
+
+
+def incidence_count(A, line):
+    """Number of points of A x A on the line, one point at a time: the
+    reference the naive kernel is tested against."""
+    p = A.p
+    coefficients = (line.c,) if isinstance(line, Vertical) else (line.m, line.b)
+    if not all(0 <= value < p for value in coefficients):
+        raise ModulusMismatch(f"{line} has a coefficient that is not a residue mod {p}")
+    if isinstance(line, Vertical):
+        return A.n if line.c in A else 0
+    return sum(1 for x in A.elements if (line.m * x + line.b) % p in A)
 
 
 def random_subset(p, seed, max_n=None):
@@ -283,7 +316,10 @@ class TestKernelTable:
         # ntt: (p + 1) / 2 = 51 slope classes at k = 5 per convolution
         # make 11 convolutions of 256 transform points.
         assert estimated_ps("naive", 101, 61) == 101 * 101 * 61 * 700
-        assert estimated_ps("ratio", 101, 61) == 61 * 62 // 2 * 60**2 * 12500
+        # ratio: 4-byte products below p = 46341, 8-byte ones above.
+        assert estimated_ps("ratio", 101, 61) == (61 * 62 // 2 * 60**2 * 4 + 114_000) * 1750
+        assert estimated_ps("ratio", 46349, 61) == (61 * 62 // 2 * 60**2 * 8 + 114_000) * 1750
+        assert estimated_ps("ratio", 101, 1) == 0
         assert estimated_ps("profile", 101, 61) == 51 * (61**2 + 202) * 2200
         assert estimated_ps("ntt", 101, 61) == 11 * (256 + 840) * 185000
         assert all(type(estimated_ps(k, 40009, 100)) is int for k in KERNELS)
@@ -333,10 +369,12 @@ class TestSparseRatioBranch:
             assert sparse_counts(A) == incidence_histogram(A, "naive").counts, elements
 
     # slope_direct runs the ratio kernel where the table estimates it
-    # cheaper than the profile kernel, up to about n**2 = 0.7 p at these
-    # primes; n near 0.6 sqrt(p) and 1.4 sqrt(p) lie on either side.
-    @pytest.mark.parametrize("p, n, sparse", [(19, 3, True), (13, 2, True), (3, 1, True),
-                                              (503, 18, True), (503, 20, False),
+    # cheaper than the profile kernel: up to about n**2 = 0.8 p at p = 503
+    # and 0.96 p from 2003 to 40009, and for no n > 1 below p = 307, where
+    # its 0.2 ms of set-up costs more than the profile kernel's whole build;
+    # n near 0.6 sqrt(p) and 1.4 sqrt(p) lie on either side.
+    @pytest.mark.parametrize("p, n, sparse", [(19, 3, False), (13, 2, False), (3, 1, True),
+                                              (503, 18, True), (503, 24, False),
                                               (1009, 19, True), (2003, 56, False)])
     def test_branch_threshold(self, monkeypatch, p, n, sparse):
         assert (estimated_ps("ratio", p, n) < estimated_ps("profile", p, n)) == sparse
@@ -368,6 +406,20 @@ class TestSparseRatioBranch:
         # Two rows, two columns and two diagonals meet the 2 x 2 grid
         # in 2 points; the other lines through its 4 points in 1.
         assert sparse_counts(from_list(m, [0, p // 2])) == {2: 6, 1: 4 * p - 8}
+
+    @pytest.mark.parametrize("p", [46337, 46349])  # the last int32 prime, the first int64 one
+    def test_at_the_int32_tier_boundary(self, p):
+        # 1, 2, p - 2 and p - 1 make differences and ratios up to p - 1.
+        # naive would take p**2 n lookups, so the lines through two or more
+        # points are counted one by one, and the one-point lines from s1.
+        A = from_list(validate_prime(p), [1, 2, p // 2, p - 2, p - 1])
+        lines = set()
+        for (x1, y1), (x2, y2) in combinations([(x, y) for x in A.elements for y in A.elements], 2):
+            m = (y2 - y1) * pow(x2 - x1, -1, p) % p if x1 != x2 else None
+            lines.add(Vertical(x1) if m is None else Sloped(m, (y1 - m * x1) % p))
+        counts = Counter(incidence_count(A, line) for line in lines)
+        counts[1] = (p + 1) * A.n**2 - sum(k * c for k, c in counts.items())
+        assert sparse_counts(A) == dict(counts)
 
     @pytest.mark.parametrize("p, descriptors", [
         (2003, ["interval:0:31", "ap:5:17:31", "gp:1:3:31"]),
@@ -467,8 +519,11 @@ class TestDefaultStrategy:
         (101, 61, "profile"),                     # moments-dense warm-up
         (1009, 101, "profile"), (2003, 159, "profile"),  # moments-p23
         (1009, 605, "ntt"), (2003, 1002, "ntt"),  # moments-dense
-        (101, 6, "ratio"), (211, 8, "ratio"), (101, 12, "profile"),  # census-verify
+        (101, 6, "profile"), (211, 6, "profile"), (211, 8, "profile"),
+        (101, 12, "profile"),                     # census-verify
         (40009, 100, "ratio"),                    # paper-interval
+        (503, 14, "ratio"), (503, 32, "profile"),  # sweep-sparse at its expected n
+        (1009, 20, "ratio"), (1009, 46, "profile"), (2003, 27, "ratio"), (2003, 64, "profile"),
     ])
     def test_workload_instances_keep_their_kernel(self, p, n, kernel):
         A = gen_uniform(validate_prime(p), n, seed=1)

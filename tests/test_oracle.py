@@ -1,9 +1,12 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridlines import products
 from gridlines.errors import CapExceeded
 from gridlines.fieldsets import from_list, gen_uniform, validate_prime
 from gridlines.incidence import incidence_histogram, moments
@@ -44,6 +47,45 @@ class TestCollinear:
         assert len(results) == 1
 
 
+def tier_boundary_set(p):
+    """Holds 1, 2, p - 2 and p - 1, so differences and products reach p - 1 and (p - 1)**2."""
+    return from_list(validate_prime(p), [1, 2, p // 2, p - 2, p - 1])
+
+
+def assert_oracles_match_collinear(A):
+    p = A.p
+    pts = [Point(x, y) for x in A.elements for y in A.elements]
+    triples = sum(collinear(u, v, w, p)
+                  for u, v, w in itertools.product(pts, repeat=3))
+    quadruples = sum(
+        collinear(u, v, w, p) and collinear(u, v, z, p)
+        and collinear(u, w, z, p) and collinear(v, w, z, p)
+        for u, v, w, z in itertools.product(pts, repeat=4))
+    # the all-equal tuples are counted p + 1 times, once per line
+    assert t_brute(A) == triples + p * len(pts)
+    assert q_brute(A) == quadruples + p * len(pts)
+
+
+def traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOracleMemory:
+    # Building the whole (n**2)**3 int64 determinant with its temporaries
+    # peaks at 4.3 MiB for t_brute at n = 8 and at 0.85 MiB for q_brute at
+    # n = 6; slabs formed in place stay well under these bounds.
+    def test_t_brute_at_its_cap(self):
+        assert traced_peak(t_brute, gen_uniform(validate_prime(211), 8, seed=1)) < 1 << 20
+
+    def test_q_brute_at_its_cap(self):
+        assert traced_peak(q_brute, gen_uniform(validate_prime(101), 6, seed=1)) < 1 << 19
+
+
 class TestTBrute:
     def test_hand_case(self):
         # 36 proper triples + (p+1) n^2 = 24 degenerate
@@ -74,17 +116,12 @@ class TestTBrute:
 
     def test_modulus_whose_determinants_overflow_int64(self):
         p = 2**61 - 1
-        A = from_list(validate_prime(p), [0, 1, p - 1])
-        pts = [Point(x, y) for x in A.elements for y in A.elements]
-        triples = sum(collinear(u, v, w, p)
-                      for u, v, w in itertools.product(pts, repeat=3))
-        quadruples = sum(
-            collinear(u, v, w, p) and collinear(u, v, z, p)
-            and collinear(u, w, z, p) and collinear(v, w, z, p)
-            for u, v, w, z in itertools.product(pts, repeat=4))
-        # the all-equal tuples are counted p + 1 times, once per line
-        assert t_brute(A) == triples + p * len(pts)
-        assert q_brute(A) == quadruples + p * len(pts)
+        assert_oracles_match_collinear(from_list(validate_prime(p), [0, 1, p - 1]))
+
+    # The last prime of the int32 tier and the first of the int64 tier.
+    @pytest.mark.parametrize("p", [46337, 46349])
+    def test_at_the_int32_tier_boundary(self, p):
+        assert_oracles_match_collinear(tier_boundary_set(p))
 
 
 class TestQBrute:
@@ -165,3 +202,15 @@ class TestAlgebraicTripleCount:
         A = gen_uniform(validate_prime(31), 21, seed=3)
         with pytest.raises(CapExceeded):
             algebraic_triple_count(A)
+
+    # Each prime against the next wider dtype: int64 at the last int32
+    # prime, Python integers at the first int64 one.
+    @pytest.mark.parametrize("p, wider", [(46337, np.int64), (46349, object)])
+    def test_at_the_int32_tier_boundary(self, monkeypatch, p, wider):
+        A = tier_boundary_set(p)
+        count = algebraic_triple_count(A)
+        assert count == _ratio_equation_reference(A)
+        monkeypatch.setattr(products, "element_array",
+                            lambda A: np.array(A.elements, dtype=wider))
+        assert products._ratio_tables(A)[0].dtype == wider
+        assert algebraic_triple_count(A) == count

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -254,6 +255,22 @@ class TestCensusKernel:
         assert_census_matches_tables(A, sampled)
 
 
+def tier_boundary_set(p):
+    """Holds 1, 2, p - 2 and p - 1, so differences and products reach p - 1 and (p - 1)**2."""
+    return from_list(validate_prime(p), [1, 2, p // 2, p - 2, p - 1])
+
+
+@pytest.mark.parametrize("p", [46337, 46349])  # the last int32 prime and the first int64 one
+def test_census_at_the_int32_tier_boundary(p):
+    A = tier_boundary_set(p)
+    rows = []
+    for a1 in A.elements:
+        for a3 in A.elements:
+            f = Counter((a1 - a2) * (a3 - a4) % p for a2 in A.elements for a4 in A.elements)
+            rows.append((a1, a3, len(f), sum(c * c for c in f.values())))
+    assert support_census(A).pairs == rows
+
+
 class TestColumnWidths:
     # n**2 crosses 2**16 and n**4 crosses 2**32 between n = 255 and 256.
     @pytest.mark.parametrize("n, supports, moments", [
@@ -360,7 +377,7 @@ class TestCensusBudget:
 
 
 class TestRatioTables:
-    @pytest.mark.parametrize("p", [101, 2**31 - 1, 2**31 + 11, 2**61 - 1])
+    @pytest.mark.parametrize("p", [101, 46337, 2**31 - 1, 2**31 + 11, 2**61 - 1])
     def test_inverses_match_pow_in_both_dtypes(self, p):
         A = from_list(validate_prime(p), [0, 1, 2, 5, p // 3, p - 1])
         values = products._difference_table(A)[0, 1:]

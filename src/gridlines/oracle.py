@@ -129,7 +129,9 @@ def algebraic_triple_count(A: FieldSubset, cap: int = ALGEBRAIC_CAP) -> int:
     makes this about n**4 products: the tuple count is the sum over
     ratios r of (number of pairs hitting r) squared, i.e. the sum of the
     second moments `products._product_moments` reads from the ratio
-    tables `products._ratio_tables`.
+    tables `products._ratio_tables`.  It keeps every ordered base pair,
+    though (a3, a1)'s ratios invert (a1, a3)'s, so that it stays a check
+    independent of the census's a1 <= a3 halving.
 
     A tuple is a collinear triple of grid points from the base (a3, a1)
     on a sloped line; the others are axis-parallel, repeat the base or

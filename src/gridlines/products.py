@@ -28,13 +28,16 @@ pairs are the ratios (a1 - a2) / (a3 - a4).  Arrays come from
 never overflows: int32 while (p - 1)**2 < 2**31 (p <= 46337), int64
 for p < 2**31 and object (Python integers) above.
 
-A full census forms n**4 products and a sampled one sample * n**2;
-support_census refuses more than CENSUS_BUDGET before doing any work.
-Its rows are kept as columns, support sizes in
-np.min_scalar_type(n**2) and second moments in np.min_scalar_type(n**4)
-(uint16 and uint32 at n = 30) plus the int64 pair indices when sampled,
-and `SupportSummary.pairs` is a read-only sequence view over them that
-yields (a1, a3, support_size, second_moment) tuples of Python ints.
+Base pair (a3, a1) has the table of (a1, a3) (swap a2 with a4), so a
+full census forms only the n(n+1)/2 pairs a1 <= a3, about n**4 / 2
+products, and a sampled one sample * n**2; support_census refuses more
+than CENSUS_BUDGET products, counting n**4 in full, before any work.
+Its rows are kept as columns, support sizes in np.min_scalar_type(n**2)
+and second moments in np.min_scalar_type(n**4) (uint16 and uint32 at
+n = 30), one entry per pair a1 <= a3 or per sampled pair (plus its
+int64 index), and `SupportSummary.pairs` is a read-only sequence view
+over them that yields (a1, a3, support_size, second_moment) tuples of
+Python ints for every ordered pair.
 
 `product_rep_table` builds one table on its own (np.unique over the
 n**2 products); it is the independent reference the census is tested
@@ -60,10 +63,10 @@ from .rng import SplitMix64
 # n = 30 no faster and doubled its traced peak (2.2 against 1.1 MiB).
 _BLOCK_PRODUCTS = 1 << 15
 
-# Most products one census may form (n**4 in full, sample * n**2
-# sampled): a full census up to n = 128, about 3 s of kernel time on
-# int32 residues and 4.4 s on int64 ones, measured on one core of a
-# 2-core x86-64 host.
+# Most products one census may form, counting n**4 in full (it forms
+# about half of them) and sample * n**2 sampled: a full census up to
+# n = 128, about 1.5 s on int32 residues and 2.3 s on int64 ones,
+# measured on one core of a 2-core x86-64 host.
 CENSUS_BUDGET = 1 << 28
 
 
@@ -199,8 +202,9 @@ def _run_length_counts(
 class _CensusRows(Sequence):
     """Read-only census rows (a1, a3, support_size, second_moment).
 
-    Stored as columns: pair k is (elements[k // n], elements[k % n]),
-    for k = 0 .. n**2 - 1 in order, or k = index[i] when sampled.
+    Row k is pair (elements[k // n], elements[k % n]), for k = 0 ..
+    n**2 - 1 in order, or k = index[i] when sampled.  The columns hold
+    one entry per sampled pair, or per np.triu_indices(n) pair in full.
     Slicing returns a list, and the view equals an equal list.
     """
 
@@ -217,22 +221,30 @@ class _CensusRows(Sequence):
         self._index = index
 
     def __len__(self) -> int:
-        return len(self.supports)
+        return len(self._elements) ** 2 if self._index is None else len(self._index)
+
+    def _locate(self, i):
+        """Pair index k and column slot of row i, an int or an array of them."""
+        if self._index is not None:
+            return self._index[i], i
+        n = len(self._elements)
+        lo, hi = np.minimum(*divmod(i, n)), np.maximum(*divmod(i, n))
+        return i, lo * (2 * n - 1 - lo) // 2 + hi
 
     def __iter__(self):
         elements, n = self._elements, len(self._elements)
-        index = range(len(self)) if self._index is None else self._index.tolist()
-        for k, support, m2 in zip(index, self.supports.tolist(), self.moments.tolist()):
-            yield elements[k // n], elements[k % n], support, m2
+        ks, slots = self._locate(np.arange(len(self)))
+        supports, moments = self.supports.tolist(), self.moments.tolist()
+        for k, slot in zip(ks.tolist(), slots.tolist()):
+            yield elements[k // n], elements[k % n], supports[slot], moments[slot]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(len(self))[i]
-        k = i if self._index is None else int(self._index[i])
+        k, slot = self._locate(range(len(self))[i])
         n = len(self._elements)
         return (self._elements[k // n], self._elements[k % n],
-                int(self.supports[i]), int(self.moments[i]))
+                int(self.supports[slot]), int(self.moments[slot]))
 
     def __eq__(self, other):
         if isinstance(other, (_CensusRows, list)):
@@ -297,7 +309,7 @@ def support_census(
 
     With sampling, cs_lower_bound is the sampled sum scaled by
     n**2 / sample so it estimates the full-census bound.  A census of
-    more than CENSUS_BUDGET products is refused.
+    more than CENSUS_BUDGET products, counting n**4 in full, is refused.
     """
     n, p = A.n, A.p
     if n == 0:
@@ -317,24 +329,29 @@ def support_census(
             f"{CENSUS_BUDGET}; census at most {CENSUS_BUDGET // total_pairs} "
             f"pairs with --sample")
     if census_pairs == total_pairs:
-        pair_indices = np.arange(total_pairs)
         index = None
+        rows1, rows3 = np.triu_indices(n)
+        # Row (a3, a1) repeats row (a1, a3), so each pair off the diagonal counts twice.
+        weights = np.where(rows1 == rows3, 1, 2)
     else:
         rng = SplitMix64(seed)
         chosen = set()
         while len(chosen) < sample:
             chosen.add(rng.below(total_pairs))
-        pair_indices = index = np.array(sorted(chosen), dtype=np.int64)
+        index = np.array(sorted(chosen), dtype=np.int64)
+        rows1, rows3 = np.divmod(index, n)
+        weights = 1
     diffs = _difference_table(A)
-    supports, moments = _product_moments(diffs, diffs, pair_indices // n, pair_indices % n, p)
+    supports, moments = _product_moments(diffs, diffs, rows1, rows3, p)
     rows = _CensusRows(A.elements, supports, moments, index)
+    every = np.repeat(supports, weights)  # one support per census row
     n4 = n ** 4
-    values, counts = np.unique(supports, return_counts=True)
+    values, counts = np.unique(every, return_counts=True)
     bound = sum(
         (Fraction(n4 * c, s) for s, c in zip(values.tolist(), counts.tolist())), Fraction(0))
     if index is not None:
         bound *= Fraction(total_pairs, census_pairs)
-    mean = Fraction(int(supports.sum()), census_pairs)
+    mean = Fraction(int(every.sum()), census_pairs)
     return SupportSummary(
         n=n,
         p=p,

@@ -211,6 +211,8 @@ def assert_census_matches_tables(A, summary):
     if summary.sampled:
         bound *= Fraction(A.n ** 2, len(rows))
     assert summary.cs_lower_bound == bound
+    mean = Fraction(sum(row[2] for row in rows), len(rows))
+    assert summary.fitted_log_exponent == products._fit_log_exponent(A.n, mean)
 
 
 class TestCensusKernel:
@@ -220,8 +222,18 @@ class TestCensusKernel:
         gen_interval(validate_prime(1009), 5, 21),
         gen_gp(validate_prime(3607), 2, 3, 25),
         gen_full_field(validate_prime(13)),
-    ], ids=["uniform30", "uniform17", "interval", "gp", "full-field"])
+        from_list(P5, [3]),
+        from_list(validate_prime(101), [7, 9]),
+        from_list(validate_prime(3607), [0, 1, 17, 1800, 3605, 3606]),
+        gen_full_field(P5),
+        gen_full_field(validate_prime(7)),
+        from_list(validate_prime(46337), [0, 1, 2, 23168, 46335, 46336]),
+        from_list(validate_prime(46349), [0, 1, 2, 23174, 46347, 46348]),
+    ], ids=["uniform30", "uniform17", "interval", "gp", "full-field", "n1", "n2",
+            "zero-and-top", "F5", "F7", "int32-top", "int64-bottom"])
     def test_full_census_matches_per_pair_tables(self, A):
+        # The census forms only the pairs a1 <= a3; rows (a1, a3) and
+        # (a3, a1) share a slot, and each is checked against its own table.
         assert_census_matches_tables(A, support_census(A))
 
     def test_sampled_census_matches_per_pair_tables(self):
@@ -327,11 +339,22 @@ class TestCensusRows:
                 assert all(type(x) is int for x in row)
 
     def test_columns_are_read_only(self):
-        rows = support_census(self.A, sample=5, seed=3).pairs
-        with pytest.raises(ValueError):
-            rows.supports[0] = 0
-        with pytest.raises(ValueError):
-            rows.moments[0] = 0
+        for rows in (support_census(self.A).pairs, support_census(self.A, sample=5, seed=3).pairs):
+            with pytest.raises(ValueError):
+                rows.supports[0] = 0
+            with pytest.raises(ValueError):
+                rows.moments[0] = 0
+
+    def test_full_census_stores_each_unordered_pair_once(self):
+        rows = support_census(gen_uniform(validate_prime(3607), 30, seed=1)).pairs
+        assert len(rows) == 900
+        assert rows.supports.shape == rows.moments.shape == (465,)  # 30 * 31 / 2
+        assert (rows.supports.nbytes, rows.moments.nbytes) == (930, 1860)
+
+    def test_sampled_census_stores_one_entry_per_sampled_pair(self):
+        A = gen_uniform(validate_prime(3607), 30, seed=1)
+        rows = support_census(A, sample=97, seed=13).pairs
+        assert len(rows) == len(rows.supports) == len(rows.moments) == 97
 
     def test_summary_statistics_reduce_the_columns(self):
         summary = support_census(gen_interval(validate_prime(1009), 3, 12))
